@@ -184,8 +184,8 @@ double MergeMaxRelErr() {
   auto& f = CompactionFixture::Get();
   double worst = 0.0;
   for (const CountingQuery& q : f.selective) {
-    auto a = f.pre->Answer(q);
-    auto b = f.post->Answer(q);
+    auto a = bench::CountOf(*f.pre, q);
+    auto b = bench::CountOf(*f.post, q);
     if (!a.ok() || !b.ok()) {
       std::fprintf(stderr, "answer failed during verification\n");
       std::exit(1);
@@ -204,7 +204,7 @@ double MeasureNsPerQuery(const ShardedStore& store) {
   for (int rep = 0; rep < 3; ++rep) {
     Timer timer;
     for (const CountingQuery& q : f.selective) {
-      auto est = store.Answer(q);
+      auto est = bench::CountOf(store, q);
       benchmark::DoNotOptimize(est);
     }
     const double ns = timer.ElapsedSeconds() * 1e9 / f.selective.size();
@@ -218,7 +218,7 @@ void BM_MergedCount(benchmark::State& state) {
   const ShardedStore& store = state.range(0) != 0 ? *f.post : *f.pre;
   size_t i = 0;
   for (auto _ : state) {
-    auto est = store.Answer(f.selective[i % f.selective.size()]);
+    auto est = bench::CountOf(store, f.selective[i % f.selective.size()]);
     benchmark::DoNotOptimize(est);
     ++i;
   }

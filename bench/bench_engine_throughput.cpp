@@ -59,7 +59,7 @@ std::vector<CountingQuery> MakeWorkload(const Table& table) {
 struct ThroughputFixture {
   std::shared_ptr<Table> table;
   std::shared_ptr<EntropySummary> summary;
-  std::shared_ptr<SummaryStore> store;
+  std::shared_ptr<SourceStore> store;
   std::shared_ptr<EntropyEngine> engine;
   std::vector<CountingQuery> workload;
 
@@ -76,7 +76,7 @@ struct ThroughputFixture {
       StoreOptions sopts;
       sopts.num_summaries = 3;
       sopts.total_budget = 3 * scale.bs_two_pair;
-      fx->store = *SummaryStore::Build(*fx->table, sopts);
+      fx->store = *SourceStore::Build(*fx->table, sopts);
       fx->engine = EntropyEngine::FromStore(fx->store);
       fx->workload = MakeWorkload(*fx->table);
       return fx;
@@ -128,7 +128,7 @@ void BM_StoreRoutedConcurrent(benchmark::State& state) {
   const size_t stride = static_cast<size_t>(state.thread_index()) * 7 + 1;
   size_t i = 0;
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.workload[i % f.workload.size()]);
+    auto est = bench::CountOf(*f.engine, f.workload[i % f.workload.size()]);
     benchmark::DoNotOptimize(est);
     i += stride;
   }

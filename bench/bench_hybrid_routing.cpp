@@ -165,7 +165,7 @@ void BM_HybridRoutedSelective(benchmark::State& state) {
   auto& f = HybridFixture::Get();
   size_t i = 0;
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.selective[i % f.selective.size()]);
+    auto est = bench::CountOf(*f.engine, f.selective[i % f.selective.size()]);
     benchmark::DoNotOptimize(est);
     ++i;
   }
@@ -177,7 +177,7 @@ void BM_HybridRoutedBroad(benchmark::State& state) {
   auto& f = HybridFixture::Get();
   size_t i = 0;
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.broad[i % f.broad.size()]);
+    auto est = bench::CountOf(*f.engine, f.broad[i % f.broad.size()]);
     benchmark::DoNotOptimize(est);
     ++i;
   }

@@ -57,7 +57,7 @@ struct LatencyFixture {
 void BM_SummaryPointQuery(benchmark::State& state) {
   auto& f = LatencyFixture::Get();
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.point_query);
+    auto est = bench::CountOf(*f.engine, f.point_query);
     benchmark::DoNotOptimize(est);
   }
 }
@@ -69,7 +69,7 @@ void BM_SummarySinglePredicateQuery(benchmark::State& state) {
   // everything else is served from the unmasked caches.
   auto& f = LatencyFixture::Get();
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.single_pred_query);
+    auto est = bench::CountOf(*f.engine, f.single_pred_query);
     benchmark::DoNotOptimize(est);
   }
 }
@@ -111,7 +111,7 @@ BENCHMARK(BM_MaskedEvalCached);
 void BM_SummaryRangeQuery(benchmark::State& state) {
   auto& f = LatencyFixture::Get();
   for (auto _ : state) {
-    auto est = f.engine->Answer(f.range_query);
+    auto est = bench::CountOf(*f.engine, f.range_query);
     benchmark::DoNotOptimize(est);
   }
 }
@@ -167,7 +167,7 @@ void BM_SummaryQueryVsDataSize(benchmark::State& state) {
   q.Where(p.origin, AttrPredicate::Point(1))
       .Where(p.distance, AttrPredicate::Range(5, 25));
   for (auto _ : state) {
-    auto est = engine->Answer(q);
+    auto est = bench::CountOf(*engine, q);
     benchmark::DoNotOptimize(est);
   }
 }

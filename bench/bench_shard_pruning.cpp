@@ -142,10 +142,10 @@ bool VerifyBitwiseIdentical() {
   for (size_t w = 0; w < 3 && identical; ++w) {
     for (const CountingQuery& q : f.workload(w)) {
       f.sharded->set_zone_map_pruning(true);
-      auto cnt_on = f.sharded->Answer(q);
+      auto cnt_on = bench::CountOf(*f.sharded, q);
       auto sum_on = f.sharded->Answer(AggregateQuery::Sum(2, weights, q));
       f.sharded->set_zone_map_pruning(false);
-      auto cnt_off = f.sharded->Answer(q);
+      auto cnt_off = bench::CountOf(*f.sharded, q);
       auto sum_off = f.sharded->Answer(AggregateQuery::Sum(2, weights, q));
       if (!cnt_on.ok() || !sum_on.ok() || !cnt_off.ok() || !sum_off.ok()) {
         std::fprintf(stderr, "answer failed during verification\n");
@@ -179,7 +179,7 @@ double MeasureNsPerQuery(const std::vector<CountingQuery>& workload,
   for (int rep = 0; rep < 3; ++rep) {
     Timer timer;
     for (const CountingQuery& q : workload) {
-      auto est = f.sharded->Answer(q);
+      auto est = bench::CountOf(*f.sharded, q);
       benchmark::DoNotOptimize(est);
     }
     const double ns = timer.ElapsedSeconds() * 1e9 / workload.size();
@@ -196,7 +196,7 @@ double AvgPrunedShards(const std::vector<CountingQuery>& workload) {
   size_t pruned = 0;
   for (const CountingQuery& q : workload) {
     std::vector<RouteDecision> decs;
-    auto est = f.sharded->Answer(q, &decs);
+    auto est = bench::CountOf(*f.sharded, q, &decs);
     benchmark::DoNotOptimize(est);
     for (const RouteDecision& d : decs) pruned += d.pruned ? 1 : 0;
   }
@@ -209,7 +209,7 @@ void BM_MergedCount(benchmark::State& state) {
   f.sharded->set_zone_map_pruning(state.range(1) != 0);
   size_t i = 0;
   for (auto _ : state) {
-    auto est = f.sharded->Answer(workload[i % workload.size()]);
+    auto est = bench::CountOf(*f.sharded, workload[i % workload.size()]);
     benchmark::DoNotOptimize(est);
     ++i;
   }

@@ -169,8 +169,8 @@ MergeErr MeasureMergeError() {
   for (size_t i = 0; i < f.workload.size(); ++i) {
     double ref_e = 0.0, ref_v = 0.0, ref_se = 0.0, ref_sv = 0.0;
     for (size_t k = 0; k < s.num_shards(); ++k) {
-      auto cnt = s.shard_engine(k).Answer(f.workload[i]);
-      auto sum = s.shard_engine(k).Answer(
+      auto cnt = s.router(k).Answer(f.workload[i]);
+      auto sum = s.router(k).Answer(
           AggregateQuery::Sum(2, weights, f.workload[i]));
       if (!cnt.ok() || !sum.ok()) {
         std::fprintf(stderr, "per-shard reference failed\n");
@@ -214,7 +214,7 @@ void BM_MergedAnswer(benchmark::State& state) {
   const auto& store = *f.stores.at(static_cast<size_t>(state.range(0)));
   size_t i = 0;
   for (auto _ : state) {
-    auto est = store.Answer(f.workload[i % f.workload.size()]);
+    auto est = bench::CountOf(store, f.workload[i % f.workload.size()]);
     benchmark::DoNotOptimize(est);
     ++i;
   }

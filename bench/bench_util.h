@@ -12,6 +12,17 @@
 namespace entropydb {
 namespace bench {
 
+/// COUNT(*) through a source's unified aggregate surface (EntropyEngine,
+/// ShardedStore, QueryRouter, ...), reduced to its estimate. Extra
+/// arguments (route decision outputs) pass through to Answer.
+template <typename Source, typename... Route>
+Result<QueryEstimate> CountOf(const Source& source, const CountingQuery& q,
+                              Route... route) {
+  ASSIGN_OR_RETURN(QueryResult r,
+                   source.Answer(AggregateQuery::Count(q), route...));
+  return r.estimate;
+}
+
 /// Scale knobs shared by the figure benches. The paper ran on the full BTS
 /// feed with budget B = 3000 on a 120-CPU machine; we default to a scaled
 /// workload that reproduces every trend in minutes on one core. Override

@@ -101,7 +101,7 @@ int main() {
                         .WhereCode("origin", top_origin)
                         .WhereBetween("distance", band.lo, band.hi)
                         .Build());
-    auto est = Unwrap(engine->Answer(q));
+    auto est = Unwrap(engine->Answer(AggregateQuery::Count(q))).estimate;
     std::printf("  %-22s est %9.0f   true %9llu\n", band.label,
                 est.expectation,
                 static_cast<unsigned long long>(exact.Count(q)));
@@ -124,7 +124,8 @@ int main() {
                            .WhereCode("origin", small_origin)
                            .WhereBetween("distance", 1500, 2915)
                            .Build());
-  auto rare_est = Unwrap(engine->Answer(rare_q));
+  auto rare_est =
+      Unwrap(engine->Answer(AggregateQuery::Count(rare_q))).estimate;
   auto uni = Unwrap(UniformSampler::Create(table, 0.01, 9));
   double sample_est = SampleEstimator(uni).Count(rare_q).expectation;
   auto [ci_lo, ci_hi] = rare_est.ConfidenceInterval(1.96, n);

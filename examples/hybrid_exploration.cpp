@@ -27,11 +27,12 @@ T Unwrap(Result<T> r) {
 
 void DescribeRoute(const EntropyEngine& engine, const RouteDecision& dec) {
   if (dec.from_sample) {
+    // One shard (a monolithic store): its decision is the engine's.
+    const SourceStore& store = engine.sharded()->shard(0);
     std::printf("    -> sample %zu (%s): variance %.3g beat the summary's "
                 "%.3g\n",
                 dec.sample_index,
-                engine.store()->sample_entry(dec.sample_index).sample->name
-                    .c_str(),
+                store.sample_entry(dec.sample_index).sample->name.c_str(),
                 dec.sample_variance, dec.summary_variance);
   } else {
     std::printf("    -> summary %zu%s: variance %.3g (best sample offered "
@@ -77,7 +78,7 @@ int main() {
     q.Where(origin, AttrPredicate::Point(key[0]))
         .Where(dest, AttrPredicate::Point(key[1]));
     RouteDecision dec;
-    auto est = Unwrap(engine->Answer(q, &dec));
+    auto est = Unwrap(engine->Answer(AggregateQuery::Count(q), &dec)).estimate;
     std::printf("  %s -> %s: true %llu, estimate %.2f\n",
                 table.domain(origin).LabelFor(key[0]).c_str(),
                 table.domain(dest).LabelFor(key[1]).c_str(),
@@ -117,7 +118,8 @@ int main() {
           .Where(dest, AttrPredicate::Point(d));
       if (exact.Count(q) != 0) continue;
       RouteDecision dec2;
-      auto est = Unwrap(engine->Answer(q, &dec2));
+      auto est =
+          Unwrap(engine->Answer(AggregateQuery::Count(q), &dec2)).estimate;
       std::printf("  %s -> %s: true 0, estimate %.2f\n",
                   table.domain(origin).LabelFor(o).c_str(),
                   table.domain(dest).LabelFor(d).c_str(), est.expectation);

@@ -33,7 +33,7 @@ int main() {
   opts.num_summaries = 2;
   opts.total_budget = 600;  // 300 2-D statistics per pair
   opts.exclude = {*date_attr};
-  auto store_r = SummaryStore::Build(table, opts);
+  auto store_r = SourceStore::Build(table, opts);
   if (!store_r.ok()) {
     std::fprintf(stderr, "build: %s\n", store_r.status().ToString().c_str());
     return 1;
@@ -86,15 +86,16 @@ int main() {
       return 1;
     }
     RouteDecision dec;
-    auto est = engine->Answer(*ex.query, &dec);
-    if (!est.ok()) {
-      std::fprintf(stderr, "answer: %s\n", est.status().ToString().c_str());
+    auto res = engine->Answer(AggregateQuery::Count(*ex.query), &dec);
+    if (!res.ok()) {
+      std::fprintf(stderr, "answer: %s\n", res.status().ToString().c_str());
       return 1;
     }
     uint64_t truth = exact.Count(*ex.query);
     std::printf("%-42s %12llu %12.1f %10.1f %5zu%s\n", ex.label,
-                static_cast<unsigned long long>(truth), est->expectation,
-                est->StdDev(), dec.index, dec.fallback ? "*" : "");
+                static_cast<unsigned long long>(truth),
+                res->estimate.expectation, res->estimate.StdDev(), dec.index,
+                dec.fallback ? "*" : "");
   }
   std::printf("(* = fallback: no summary models the queried pair)\n");
   return 0;

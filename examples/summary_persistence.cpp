@@ -49,7 +49,7 @@ int main() {
     StoreOptions sopts;
     sopts.num_summaries = 2;
     sopts.total_budget = 600;
-    auto store = Unwrap(SummaryStore::Build(*table, sopts));
+    auto store = Unwrap(SourceStore::Build(*table, sopts));
     s = store->Save(store_dir);
     if (!s.ok()) {
       std::fprintf(stderr, "store save: %s\n", s.ToString().c_str());
@@ -102,7 +102,8 @@ int main() {
     std::printf("\nstore: loaded %zu summaries in %.1f ms\n",
                 engine->num_summaries(), store_timer.ElapsedMillis());
     RouteDecision dec;
-    auto est3 = Unwrap(engine->Answer(q2, &dec));
+    auto est3 =
+        Unwrap(engine->Answer(AggregateQuery::Count(q2), &dec)).estimate;
     std::printf("COUNT(short time AND long distance) = %.2f via summary %zu"
                 "%s\n",
                 est3.expectation, dec.index,

@@ -4,19 +4,15 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "engine/query_router.h"
-#include "engine/source_store.h"
+#include "engine/sharded_store.h"
 #include "maxent/summary.h"
 #include "query/aggregate.h"
 
 namespace entropydb {
-
-class ShardedStore;
 
 /// \brief Monotonic engine-level counters, snapshot by
 /// EntropyEngine::stats().
@@ -34,103 +30,97 @@ struct EngineStats {
   uint64_t batched_queries = 0;
 };
 
-/// \brief The serving facade: one query surface over a single
-/// EntropySummary, a routed SourceStore (summaries + sample companions),
-/// or a ShardedStore (S row-shards, each a full SourceStore, answered by
-/// fan-out + additive merge — see engine/sharded_store.h).
+/// \brief The serving facade: one query surface over ONE store shape — a
+/// ShardedStore of S >= 1 row-shards, each a SourceStore of K >= 1
+/// sources (maxent summaries plus sample companions; see
+/// engine/sharded_store.h). A lone summary is the 1 x 1 case (one entry,
+/// no modeled pairs, so routing always falls back to it) and a monolithic
+/// store directory the S = 1 case; answering never branches on which.
 ///
 /// Tools, examples, and benchmarks talk to this instead of hand-wiring a
 /// summary, so switching a deployment from one summary file to a
-/// multi-source store directory is a flag change:
+/// multi-source or sharded store directory is a path change:
 ///
 ///   auto engine = EntropyEngine::Open(path);   // file or store directory
 ///   auto res = (*engine)->Answer(AggregateQuery::Count(query));
 ///
-/// Open sniffs a directory's MANIFEST header and dispatches transparently:
-/// a v1/v2 manifest loads as a monolithic SourceStore, a v3 manifest as a
-/// ShardedStore — callers never branch on the layout. Sharded engines fan
-/// each COUNT/SUM/AVG out to every shard (the best source is picked PER
-/// SHARD by that shard's router) and merge the per-shard moments; point
-/// estimates, variances, and the SUM/COUNT covariance are additive across
-/// disjoint row partitions, so the merged AVG keeps the full delta-method
-/// variance.
+/// Every COUNT/SUM/AVG fans out to every unpruned shard (the best source
+/// is picked PER SHARD by that shard's QueryRouter) and the per-shard
+/// moments merge additively from zero — so with one shard every estimate,
+/// variance, bound, and cell is bitwise the router's (and, for a lone
+/// summary, the summary's) own. Point estimates, variances, and the
+/// SUM/COUNT covariance are additive across disjoint row partitions, so
+/// the merged AVG keeps the full delta-method variance.
 ///
 /// The ONE query entry point is Answer(AggregateQuery): COUNT and SUM
 /// route across summaries AND samples per QueryRouter's hybrid rules
 /// (coverage -> summary variance -> summary-vs-sample variance; see
 /// docs/ESTIMATORS.md); AVG and the group-bys are summary-only (samples
 /// have no batched-derivative path); QUANTILE and TOPK derive here at the
-/// facade from the routed group-by marginal (maxent/quantile.h), so they
-/// work uniformly over single summaries, stores, and sharded stores. The
-/// JOIN kinds fuse TWO engines' models on a shared attribute — see
-/// AnswerJoin and maxent/join_fusion.h. All entry points are safe to call
+/// facade from the merged group-by marginal (maxent/quantile.h). The JOIN
+/// kinds fuse TWO engines' models on a shared attribute — see AnswerJoin
+/// and maxent/join_fusion.h. All entry points are safe to call
 /// concurrently; per-summary throughput scales on the answerer's
 /// workspace pool.
+///
+/// Every answer's RouteDecision carries the facade counters
+/// (shards_pruned / shards_scanned); when exactly one shard was scanned it
+/// also carries that shard's own routing decision (which source, coverage,
+/// the hybrid comparison).
 class EntropyEngine {
  public:
-  /// Wraps a single summary (no routing).
+  /// Wraps a single summary as the 1 x 1 store.
   static std::shared_ptr<EntropyEngine> FromSummary(
       std::shared_ptr<EntropySummary> summary);
-  /// Wraps a store behind a hybrid router.
+  /// Wraps a store as the S = 1 sharded store.
   static std::shared_ptr<EntropyEngine> FromStore(
       std::shared_ptr<SourceStore> store);
-  /// Wraps a sharded store behind per-shard routers + additive merging.
+  /// Wraps a sharded store.
   static std::shared_ptr<EntropyEngine> FromSharded(
       std::shared_ptr<ShardedStore> sharded);
-  /// Opens a persisted engine: a directory loads as a SourceStore
-  /// (MANIFEST v1/v2/v4-mono) or a ShardedStore (MANIFEST v3/v4-sharded),
-  /// a file as a single summary. A *versioned root* (a directory holding a
-  /// CURRENT pointer — see storage/version_set.h) resolves to its current
-  /// version's store directory first, so callers point at the root and
-  /// transparently read whatever version is live; to time-travel, open a
-  /// retained "root/v<id>" directly. Checksums are verified unless
+  /// Opens a persisted engine: a file loads as a 1 x 1 store, a mono
+  /// store directory (MANIFEST v4 mono) as S = 1, a sharded directory
+  /// (MANIFEST v4 sharded) as itself. A *versioned root* (a directory
+  /// holding a CURRENT pointer — see storage/version_set.h) resolves to
+  /// its current version's store directory first, so callers point at the
+  /// root and transparently read whatever version is live; to time-travel,
+  /// open a retained "root/v<id>" directly. Checksums are verified unless
   /// `opts.verify_checksums` is off; all I/O goes through `env`.
   static Result<std::shared_ptr<EntropyEngine>> Open(const std::string& path,
                                                      SummaryOptions opts = {},
                                                      Env* env = Env::Default());
 
-  /// True when this engine routes over a store (vs. one summary).
-  bool is_store() const { return store_ != nullptr || sharded_ != nullptr; }
-  /// True when this engine fans out over a sharded store.
-  bool is_sharded() const { return sharded_ != nullptr; }
-  /// Number of row-shards (1 for monolithic engines).
-  size_t num_shards() const;
-  /// Number of summary sources (summed across shards when sharded).
+  /// Number of row-shards S.
+  size_t num_shards() const { return store_->num_shards(); }
+  /// Number of summary sources, summed across shards.
   size_t num_summaries() const;
-  /// Number of sample sources (summed across shards when sharded).
+  /// Number of sample sources, summed across shards.
   size_t num_samples() const;
-  /// The backing monolithic store; null for single-summary AND sharded
-  /// engines (use sharded() for the latter).
-  const SourceStore* store() const { return store_.get(); }
-  /// The backing sharded store; null unless is_sharded().
-  const ShardedStore* sharded() const { return sharded_.get(); }
-  /// The single summary, or the (first shard's) widest fallback entry.
-  const EntropySummary& primary() const { return *primary_; }
+  /// The backing store (never null).
+  const ShardedStore* sharded() const { return store_.get(); }
+  /// The first shard's widest (fallback) summary — for a lone summary,
+  /// that summary.
+  const EntropySummary& primary() const;
 
   /// Attribute names shared by every source.
   const std::vector<std::string>& attr_names() const {
-    return primary_->attr_names();
+    return store_->attr_names();
   }
   /// Active-domain descriptors shared by every source (may be empty for
   /// summaries built from a bare registry).
-  const std::vector<Domain>& domains() const { return primary_->domains(); }
-  bool has_domains() const { return primary_->has_domains(); }
-  /// Relation cardinality n (the TOTAL across shards when sharded).
-  double n() const;
+  const std::vector<Domain>& domains() const { return store_->domains(); }
+  bool has_domains() const { return store_->has_domains(); }
+  /// Relation cardinality n: the total across shards.
+  double n() const { return store_->n(); }
   /// Relation arity m.
-  size_t num_attributes() const { return primary_->num_attributes(); }
-
-  /// COUNT(*) — the routed counting primitive the batcher fans out on
-  /// (bitwise the Answer(AggregateQuery::Count(q)) estimate).
-  Result<QueryEstimate> Answer(const CountingQuery& q,
-                               RouteDecision* decision = nullptr) const;
+  size_t num_attributes() const { return store_->num_attributes(); }
 
   /// The unified aggregate surface: COUNT/SUM/AVG routed per the class
-  /// comment, QUANTILE/TOPK derived from the routed group-by marginal.
+  /// comment, QUANTILE/TOPK derived from the merged group-by marginal.
   /// JOIN kinds need a right-side engine — use AnswerJoin; here they are
   /// kInvalidArgument. The result's `route` always carries the decision
-  /// (facade-level pruning counters included when sharded); `decision`
-  /// (optional) receives the same value.
+  /// (see the class comment); `decision` (optional) receives the same
+  /// value.
   Result<QueryResult> Answer(const AggregateQuery& q,
                              RouteDecision* decision = nullptr) const;
 
@@ -147,12 +137,13 @@ class EntropyEngine {
                                  RouteDecision* decision = nullptr) const;
 
   /// Batched COUNT(*) workload, fanned across the thread pool; slot i
-  /// matches qs[i] and equals the serial Answer answer.
+  /// matches qs[i] and equals the serial Answer(AggregateQuery::Count)
+  /// answer.
   Result<std::vector<QueryEstimate>> AnswerAll(
       const std::vector<CountingQuery>& qs,
       std::vector<RouteDecision>* decisions = nullptr) const;
 
-  /// Whole-attribute group-by (one batched derivative pass) —
+  /// Whole-attribute group-by (one batched derivative pass per shard) —
   /// summary-routed.
   Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
       AttrId a, const CountingQuery& base,
@@ -167,26 +158,15 @@ class EntropyEngine {
   EngineStats stats() const;
 
  private:
-  EntropyEngine(std::shared_ptr<EntropySummary> summary,
-                std::shared_ptr<SourceStore> store,
-                std::shared_ptr<ShardedStore> sharded);
+  explicit EntropyEngine(std::shared_ptr<ShardedStore> store)
+      : store_(std::move(store)) {}
 
-  /// Picks the serving summary for a filter + extra constrained attributes
-  /// (aggregate / group-by attributes), filling `decision` — the router's
-  /// RouteEntry behind the single-summary fallback.
-  const EntropySummary& RouteFor(
-      const CountingQuery& q, const std::vector<AttrId>& extra_attrs,
-      RouteDecision* decision) const;
-
-  /// The routed whole-attribute marginal the group-by, quantile, and join
-  /// surfaces share (dispatches sharded / store / single-summary).
+  /// The merged whole-attribute marginal the group-by, quantile, and join
+  /// surfaces share.
   Result<std::vector<QueryEstimate>> GroupByMarginal(
       AttrId a, const CountingQuery& base, RouteDecision* decision) const;
 
-  std::shared_ptr<EntropySummary> primary_;
-  std::shared_ptr<SourceStore> store_;
-  std::shared_ptr<ShardedStore> sharded_;
-  std::unique_ptr<QueryRouter> router_;
+  std::shared_ptr<ShardedStore> store_;
 
   // Answer methods are const; the counters are observability, not state.
   mutable std::atomic<uint64_t> queries_{0};

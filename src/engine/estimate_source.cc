@@ -2,10 +2,6 @@
 
 namespace entropydb {
 
-SummarySource::SummarySource(std::shared_ptr<const EntropySummary> summary,
-                             std::string name)
-    : summary_(std::move(summary)), name_(std::move(name)) {}
-
 SampleSource::SampleSource(std::shared_ptr<const WeightedSample> sample)
     : sample_(std::move(sample)), estimator_(*sample_) {}
 

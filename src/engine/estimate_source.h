@@ -29,6 +29,8 @@ namespace entropydb {
 /// path and the batcher fan out on. Results carry the SUM/COUNT moment
 /// legs and their covariance so cross-shard merging stays exact.
 ///
+/// SampleSource implements it for samples; summaries are served by
+/// EntropySummary's own Answer overloads, which have the same shape.
 /// Implementations are immutable after construction and safe to call
 /// concurrently; the routed answer is always the chosen source's own answer
 /// bit for bit.
@@ -53,34 +55,6 @@ class EstimateSource {
   /// report kNotSupported for AVG. QUANTILE/TOPK/JOIN kinds derive at the
   /// engine facade and are kNotSupported on every single source.
   virtual Result<QueryResult> Answer(const AggregateQuery& q) const = 0;
-};
-
-/// \brief EstimateSource over a solved EntropySummary: multinomial-moment
-/// variances (Binomial n p (1 - p) for counts, Sec 7 of the paper).
-class SummarySource : public EstimateSource {
- public:
-  /// Wraps a solved summary; `name` defaults to "maxent".
-  explicit SummarySource(std::shared_ptr<const EntropySummary> summary,
-                         std::string name = "maxent");
-
-  Kind kind() const override { return Kind::kSummary; }
-  const std::string& name() const override { return name_; }
-  size_t num_attributes() const override {
-    return summary_->num_attributes();
-  }
-  Result<QueryEstimate> Answer(const CountingQuery& q) const override {
-    return summary_->Answer(q);
-  }
-  Result<QueryResult> Answer(const AggregateQuery& q) const override {
-    return summary_->Answer(q);
-  }
-
-  /// The wrapped summary.
-  const EntropySummary& summary() const { return *summary_; }
-
- private:
-  std::shared_ptr<const EntropySummary> summary_;
-  std::string name_;
 };
 
 /// \brief EstimateSource over a weighted row sample: Horvitz-Thompson

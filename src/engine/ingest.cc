@@ -114,8 +114,8 @@ Status SealBatch(const std::string& dir, ShardedStore::Manifest* m,
       env, (fs::path(shard_dir) / kZoneMapFileName).string()));
   RETURN_NOT_OK(env->SyncDir(shard_dir));
   // Keep the manifest's per-shard row counts (the compaction planner's
-  // oversize trigger) aligned with the shard list; a legacy manifest
-  // with no counts stays count-free rather than partially counted.
+  // oversize trigger) aligned with the shard list; a manifest written
+  // without counts stays count-free rather than partially counted.
   if (m->shard_rows.size() == m->shard_dirs.size()) {
     m->shard_rows.push_back(table->num_rows());
   } else {

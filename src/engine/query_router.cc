@@ -221,9 +221,24 @@ Result<QueryResult> QueryRouter::Answer(const AggregateQuery& q,
   }
 }
 
+Result<std::vector<QueryEstimate>> QueryRouter::AnswerGroupByAttribute(
+    AttrId a, const CountingQuery& base, RouteDecision* decision) const {
+  return store_->summary(RouteEntry(base, {a}, decision))
+      .AnswerGroupByAttribute(a, base);
+}
+
+Result<std::map<std::vector<Code>, QueryEstimate>> QueryRouter::AnswerGroupBy(
+    const std::vector<AttrId>& attrs,
+    const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+    RouteDecision* decision) const {
+  return store_->summary(RouteEntry(base, attrs, decision))
+      .AnswerGroupBy(attrs, keys, base);
+}
+
 Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
-    const CountingQuery* qs, size_t count,
+    const std::vector<CountingQuery>& qs,
     std::vector<RouteDecision>* decisions) const {
+  const size_t count = qs.size();
   std::vector<QueryEstimate> out(count);
   if (decisions != nullptr) decisions->assign(count, RouteDecision{});
   std::vector<Status> statuses(count, Status::OK());
@@ -244,12 +259,6 @@ Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
     if (!s.ok()) return s;
   }
   return out;
-}
-
-Result<std::vector<QueryEstimate>> QueryRouter::AnswerAll(
-    const std::vector<CountingQuery>& qs,
-    std::vector<RouteDecision>* decisions) const {
-  return AnswerAll(qs.data(), qs.size(), decisions);
 }
 
 }  // namespace entropydb

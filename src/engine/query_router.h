@@ -2,6 +2,7 @@
 #define ENTROPYDB_ENGINE_QUERY_ROUTER_H_
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -42,8 +43,9 @@ namespace entropydb {
 /// answer), SUM routes stages 1-2 on the filter PLUS the aggregated
 /// attribute and challenges hybrid on the filter count's variance (the
 /// shared objective), AVG routes summary-only (samples have no batched
-/// ratio path). QUANTILE/TOPK/JOIN derive at the engine facade from
-/// group-by marginals — kNotSupported here.
+/// ratio path). The group-bys route stages 1-2 with the grouped
+/// attributes constrained. QUANTILE/TOPK/JOIN derive at the engine facade
+/// from those group-by marginals — kNotSupported here.
 ///
 /// The routed answer IS the chosen source's own answer — bit-for-bit what
 /// that summary's QueryAnswerer or that sample's SampleEstimator returns —
@@ -112,12 +114,21 @@ class QueryRouter {
   Result<QueryResult> Answer(const AggregateQuery& q,
                              RouteDecision* decision = nullptr) const;
 
+  /// Whole-attribute group-by, summary-routed: stages 1-2 with `a` in the
+  /// constrained set (samples have no batched-derivative path), then the
+  /// chosen summary's own answer. `decision` (optional) gets the route.
+  Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
+      AttrId a, const CountingQuery& base,
+      RouteDecision* decision = nullptr) const;
+  /// Point group-by over explicit keys, summary-routed like the above.
+  Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
+      const std::vector<AttrId>& attrs,
+      const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+      RouteDecision* decision = nullptr) const;
+
   /// Routes and answers a whole workload, fanned across the shared thread
   /// pool; slot i of the result (and of `decisions`) corresponds to qs[i].
   /// Answers are identical to calling Answer per query serially.
-  Result<std::vector<QueryEstimate>> AnswerAll(
-      const CountingQuery* qs, size_t count,
-      std::vector<RouteDecision>* decisions = nullptr) const;
   Result<std::vector<QueryEstimate>> AnswerAll(
       const std::vector<CountingQuery>& qs,
       std::vector<RouteDecision>* decisions = nullptr) const;

@@ -13,7 +13,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kManifestV3[] = "ENTROPYDB_STORE_V3";
 constexpr char kManifestV4[] = "ENTROPYDB_STORE_V4";
 
 std::string ManifestPayload(const ShardedStore::Manifest& m) {
@@ -24,8 +23,8 @@ std::string ManifestPayload(const ShardedStore::Manifest& m) {
   out << "wal_sealed " << m.wal_sealed << "\n";
   out << "shards " << m.shard_dirs.size() << "\n";
   for (const std::string& d : m.shard_dirs) out << "shard " << d << "\n";
-  // The zone-map section is optional: pre-pruning stores list none and
-  // load unchanged (they simply never prune).
+  // The zone-map section is optional: shards without a zone map are
+  // simply never pruned.
   if (!m.zonemap_dirs.empty()) {
     out << "zonemaps " << m.zonemap_dirs.size() << "\n";
     for (const std::string& d : m.zonemap_dirs) {
@@ -33,8 +32,7 @@ std::string ManifestPayload(const ShardedStore::Manifest& m) {
     }
   }
   // Also optional: compaction lineage (engine/compaction.h) and the
-  // per-shard row counts its planner triggers on. Both default silently
-  // for pre-compaction-era manifests.
+  // per-shard row counts its planner triggers on.
   if (m.compaction_gen > 0) out << "gen " << m.compaction_gen << "\n";
   if (m.shard_rows.size() == m.shard_dirs.size() && !m.shard_rows.empty()) {
     out << "shardrows " << m.shard_rows.size() << "\n";
@@ -51,6 +49,11 @@ void MergeInto(QueryEstimate* merged, const QueryEstimate& shard) {
   merged->variance += shard.variance;
 }
 
+/// Shard s's slot of an optional per-shard decision vector.
+RouteDecision* Slot(std::vector<RouteDecision>* per_shard, size_t s) {
+  return per_shard != nullptr ? &(*per_shard)[s] : nullptr;
+}
+
 }  // namespace
 
 ShardedStore::ShardedStore(
@@ -61,9 +64,9 @@ ShardedStore::ShardedStore(
       zone_maps_(std::move(zone_maps)),
       scheme_(scheme),
       partition_attr_(partition_attr) {
-  engines_.reserve(shards_.size());
+  routers_.reserve(shards_.size());
   for (const auto& s : shards_) {
-    engines_.push_back(EntropyEngine::FromStore(s));
+    routers_.emplace_back(s);
     total_n_ += s->n();
   }
 }
@@ -180,36 +183,18 @@ Result<std::shared_ptr<ShardedStore>> ShardedStore::Build(const Table& table,
                     opts.partition_attr);
 }
 
-bool ShardedStore::Prunable(size_t s, const CountingQuery& q,
-                            AttrId* attr) const {
-  if (!prune_ || zone_maps_[s] == nullptr) return false;
-  return !zone_maps_[s]->MightMatch(q, attr);
-}
-
-Result<QueryEstimate> ShardedStore::Answer(
-    const CountingQuery& q, std::vector<RouteDecision>* per_shard) const {
+bool ShardedStore::Skip(size_t s, const CountingQuery& q,
+                        std::vector<RouteDecision>* per_shard) const {
+  AttrId pruned_attr = 0;
+  if (!prune_ || zone_maps_[s] == nullptr ||
+      zone_maps_[s]->MightMatch(q, &pruned_attr)) {
+    return false;
+  }
   if (per_shard != nullptr) {
-    per_shard->assign(shards_.size(), RouteDecision{});
+    (*per_shard)[s].pruned = true;
+    (*per_shard)[s].pruned_attr = pruned_attr;
   }
-  QueryEstimate merged;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    // A shard whose zone map rules the query out would answer an exact
-    // {0, 0} (see storage/zone_map.h) — skip it; the merge is unchanged.
-    AttrId pruned_attr = 0;
-    if (Prunable(s, q, &pruned_attr)) {
-      if (per_shard != nullptr) {
-        (*per_shard)[s].pruned = true;
-        (*per_shard)[s].pruned_attr = pruned_attr;
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(
-        QueryEstimate est,
-        engines_[s]->Answer(
-            q, per_shard != nullptr ? &(*per_shard)[s] : nullptr));
-    MergeInto(&merged, est);
-  }
-  return merged;
+  return true;
 }
 
 Result<QueryResult> ShardedStore::Answer(
@@ -229,18 +214,9 @@ Result<QueryResult> ShardedStore::Answer(
   QueryResult merged;
   merged.has_moments = true;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    AttrId pruned_attr = 0;
-    if (Prunable(s, q.where, &pruned_attr)) {
-      if (per_shard != nullptr) {
-        (*per_shard)[s].pruned = true;
-        (*per_shard)[s].pruned_attr = pruned_attr;
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(
-        QueryResult part,
-        engines_[s]->Answer(
-            q, per_shard != nullptr ? &(*per_shard)[s] : nullptr));
+    if (Skip(s, q.where, per_shard)) continue;
+    ASSIGN_OR_RETURN(QueryResult part,
+                     routers_[s].Answer(q, Slot(per_shard, s)));
     MergeInto(&merged.estimate, part.estimate);
     MergeInto(&merged.sum, part.sum);
     MergeInto(&merged.count, part.count);
@@ -249,26 +225,21 @@ Result<QueryResult> ShardedStore::Answer(
   if (q.kind == AggregateKind::kAvg) {
     // ONE delta method over the MERGED moments — the covariance term the
     // per-shard results surfaced stays in the ratio variance, so the
-    // cross-shard AVG matches the unsharded formula instead of the old
-    // covariance-free approximation (docs/ESTIMATORS.md).
-    merged.estimate = QueryEstimate{};
-    if (merged.count.expectation > 0.0) {
-      const double c = merged.count.expectation;
-      const double r = merged.sum.expectation / c;
-      merged.estimate.expectation = r;
-      merged.estimate.variance = std::max(
-          0.0, (merged.sum.variance - 2.0 * r * merged.sum_count_cov +
-                r * r * merged.count.variance) /
-                   (c * c));
-    }
+    // cross-shard AVG matches the unsharded formula (docs/ESTIMATORS.md).
+    merged.estimate =
+        DeltaMethodRatio(merged.sum, merged.count, merged.sum_count_cov);
   }
   return merged;
 }
 
 Result<std::vector<QueryEstimate>> ShardedStore::AnswerGroupByAttribute(
-    AttrId a, const CountingQuery& base) const {
+    AttrId a, const CountingQuery& base,
+    std::vector<RouteDecision>* per_shard) const {
   if (a >= num_attributes()) {
     return Status::OutOfRange("group-by attribute out of range");
+  }
+  if (per_shard != nullptr) {
+    per_shard->assign(shards_.size(), RouteDecision{});
   }
   // Pre-size to the group-by width so a shard pruned on the base filter
   // can be skipped: an impossible base makes every per-value cell of that
@@ -276,9 +247,10 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerGroupByAttribute(
   std::vector<QueryEstimate> merged(
       shards_.front()->entry(0).summary->registry().domain_size(a));
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (Prunable(s, base, nullptr)) continue;
-    ASSIGN_OR_RETURN(std::vector<QueryEstimate> part,
-                     engines_[s]->AnswerGroupByAttribute(a, base));
+    if (Skip(s, base, per_shard)) continue;
+    ASSIGN_OR_RETURN(
+        std::vector<QueryEstimate> part,
+        routers_[s].AnswerGroupByAttribute(a, base, Slot(per_shard, s)));
     if (merged.size() != part.size()) {
       return Status::Internal("shards disagree on group-by width");
     }
@@ -289,8 +261,11 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerGroupByAttribute(
 
 Result<std::map<std::vector<Code>, QueryEstimate>> ShardedStore::AnswerGroupBy(
     const std::vector<AttrId>& attrs,
-    const std::vector<std::vector<Code>>& keys,
-    const CountingQuery& base) const {
+    const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+    std::vector<RouteDecision>* per_shard) const {
+  if (per_shard != nullptr) {
+    per_shard->assign(shards_.size(), RouteDecision{});
+  }
   std::map<std::vector<Code>, QueryEstimate> merged;
   // Every requested key gets a slot up front, so the result keeps its
   // shape even when pruning skips every shard (malformed keys still fail,
@@ -302,8 +277,10 @@ Result<std::map<std::vector<Code>, QueryEstimate>> ShardedStore::AnswerGroupBy(
     merged[key];
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (Prunable(s, base, nullptr)) continue;
-    ASSIGN_OR_RETURN(auto part, engines_[s]->AnswerGroupBy(attrs, keys, base));
+    if (Skip(s, base, per_shard)) continue;
+    RouteDecision* dec = Slot(per_shard, s);
+    ASSIGN_OR_RETURN(auto part,
+                     routers_[s].AnswerGroupBy(attrs, keys, base, dec));
     for (const auto& [key, est] : part) MergeInto(&merged[key], est);
   }
   return merged;
@@ -314,28 +291,23 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerAll(
     std::vector<std::vector<RouteDecision>>* per_shard) const {
   const size_t nq = qs.size();
   const size_t ns = shards_.size();
+  if (per_shard != nullptr) {
+    per_shard->assign(nq, std::vector<RouteDecision>(ns));
+  }
   // The full shards x queries grid fans out flat: cell (i, s) is shard s
   // answering query i into its own slot, so the fan-out saturates the pool
   // even when one of the two dimensions is small.
   std::vector<QueryEstimate> cells(nq * ns);
-  std::vector<RouteDecision> cell_decisions(
-      per_shard != nullptr ? nq * ns : 0);
   std::vector<Status> statuses(nq * ns, Status::OK());
   ParallelFor(nq * ns, 2, [&](size_t flat) {
     const size_t i = flat / ns;
     const size_t s = flat % ns;
+    std::vector<RouteDecision>* decs =
+        per_shard != nullptr ? &(*per_shard)[i] : nullptr;
     // Pruned cells keep their default-zero estimate — the exact value the
     // shard would have answered — so the serial merge below is unchanged.
-    AttrId pruned_attr = 0;
-    if (Prunable(s, qs[i], &pruned_attr)) {
-      if (per_shard != nullptr) {
-        cell_decisions[flat].pruned = true;
-        cell_decisions[flat].pruned_attr = pruned_attr;
-      }
-      return;
-    }
-    auto est = engines_[s]->Answer(
-        qs[i], per_shard != nullptr ? &cell_decisions[flat] : nullptr);
+    if (Skip(s, qs[i], decs)) return;
+    auto est = routers_[s].Answer(qs[i], Slot(decs, s));
     if (!est.ok()) {
       statuses[flat] = est.status();
       return;
@@ -351,48 +323,21 @@ Result<std::vector<QueryEstimate>> ShardedStore::AnswerAll(
   for (size_t i = 0; i < nq; ++i) {
     for (size_t s = 0; s < ns; ++s) MergeInto(&out[i], cells[i * ns + s]);
   }
-  if (per_shard != nullptr) {
-    per_shard->assign(nq, std::vector<RouteDecision>(ns));
-    for (size_t i = 0; i < nq; ++i) {
-      for (size_t s = 0; s < ns; ++s) {
-        (*per_shard)[i][s] = cell_decisions[i * ns + s];
-      }
-    }
-  }
   return out;
 }
 
 Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
     const std::string& dir, Env* env, bool verify_checksums) {
   const std::string path = (fs::path(dir) / "MANIFEST").string();
-  bool had_footer = false;
-  ASSIGN_OR_RETURN(
-      std::string payload,
-      ReadChecksummedFile(env, path, verify_checksums, &had_footer));
+  ASSIGN_OR_RETURN(std::string payload,
+                   ReadChecksummedFile(env, path, verify_checksums));
   std::istringstream in(payload);
-  std::string token;
-  if (!(in >> token)) {
+  std::string token, kind;
+  if (!(in >> token) || token != kManifestV4) {
     return Status::Corruption("bad store manifest header in " + dir);
   }
-  bool v4 = false;
-  if (token == kManifestV4) {
-    std::string kind;
-    if (!(in >> kind) || kind != "sharded") {
-      return Status::InvalidArgument("not a sharded store manifest in " +
-                                     dir);
-    }
-    if (!had_footer) {
-      return Status::Corruption("missing checksum footer in " + path);
-    }
-    v4 = true;
-  } else if (token != kManifestV3) {
-    return Status::Corruption("not a sharded (v3/v4) store manifest in " +
-                              dir);
-  } else if (!had_footer) {
-    std::fprintf(stderr,
-                 "entropydb: warning: %s has no checksum footer "
-                 "(legacy format, loaded unverified)\n",
-                 path.c_str());
+  if (!(in >> kind) || kind != "sharded") {
+    return Status::InvalidArgument("not a sharded store manifest in " + dir);
   }
   Manifest m;
   std::string scheme_token;
@@ -402,10 +347,8 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
   ASSIGN_OR_RETURN(PartitionSpec spec, ParsePartitionSpec(scheme_token));
   m.scheme = spec.scheme;
   m.partition_attr = spec.attr;
-  if (v4) {
-    if (!(in >> token >> m.wal_sealed) || token != "wal_sealed") {
-      return Status::Corruption("bad wal_sealed record in " + dir);
-    }
+  if (!(in >> token >> m.wal_sealed) || token != "wal_sealed") {
+    return Status::Corruption("bad wal_sealed record in " + dir);
   }
   size_t ns = 0;
   if (!(in >> token >> ns) || token != "shards" || ns == 0) {
@@ -417,9 +360,10 @@ Result<ShardedStore::Manifest> ShardedStore::ReadManifest(
       return Status::Corruption("bad shard record in " + dir);
     }
   }
-  // Optional trailing sections, each absent in older manifests: zone
-  // maps (pre-pruning stores never prune), the compaction generation,
-  // and the per-shard row counts the compaction planner triggers on.
+  // Optional trailing sections, written only when there is something to
+  // record: zone maps (shards without one never prune), the compaction
+  // generation, and the per-shard row counts the compaction planner
+  // triggers on.
   while (in >> token) {
     if (token == "zonemaps") {
       size_t nz = 0;
@@ -518,11 +462,8 @@ bool ShardedStore::IsShardedDir(const std::string& dir, Env* env) {
     return false;
   }
   std::istringstream in(contents);
-  std::string token;
-  if (!(in >> token)) return false;
-  if (token == kManifestV3) return true;
-  std::string kind;
-  return token == kManifestV4 && (in >> kind) && kind == "sharded";
+  std::string token, kind;
+  return (in >> token >> kind) && token == kManifestV4 && kind == "sharded";
 }
 
 Result<std::shared_ptr<ShardedStore>> ShardedStore::Load(

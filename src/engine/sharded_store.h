@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/engine.h"
 #include "engine/query_router.h"
 #include "engine/source_store.h"
 #include "storage/partitioner.h"
@@ -39,10 +38,11 @@ struct ShardedOptions {
   StoreOptions store;
 };
 
-/// \brief A horizontally partitioned SourceStore: S disjoint row-shards,
-/// each carrying its own maxent summaries and sample companions built with
-/// the existing single-store machinery, answered by fanning a query out to
-/// every shard and merging the per-shard estimates.
+/// \brief The one store shape every engine serves: S >= 1 disjoint
+/// row-shards, each a SourceStore of K >= 1 sources (maxent summaries plus
+/// sample companions), answered by fanning a query out to every shard and
+/// merging the per-shard estimates. A monolithic store is the S = 1 case
+/// and a lone summary the 1 x 1 case (EntropyEngine::Open builds both).
 ///
 /// The layering is deliberately bolt-on (the OrpheusDB pattern): nothing
 /// below this class knows about shards. Build partitions the base table
@@ -59,16 +59,16 @@ struct ShardedOptions {
 /// additive. Each shard routes its sub-query through its own QueryRouter
 /// (coverage -> variance -> hybrid summary-vs-sample), so the best source
 /// is chosen PER SHARD: a rare slice can be served by shard 2's stratified
-/// sample and shard 3's summary in the same merged answer.
+/// sample and shard 3's summary in the same merged answer. The merge
+/// starts from zero, so with one shard every answer is bitwise that
+/// shard's router's.
 ///
 /// Persistence is a MANIFEST v4 directory: the manifest records the
 /// scheme, the shard list, and the ingest journal's sealed-batch count
 /// (`wal_sealed`, see engine/ingest.h); each shard is a self-contained
 /// store subdirectory. Save stages the WHOLE tree into a `<dir>.tmp-*`
 /// sibling and publishes it in one rename, so a crash never exposes a
-/// mixed-shard store. v3 (PR 5-era) sharded directories keep loading;
-/// v2/v1 directories load as monolithic stores — EntropyEngine::Open
-/// sniffs the manifest header and dispatches.
+/// mixed-shard store.
 class ShardedStore {
  public:
   /// Partitions `table` and builds every shard's sources in parallel.
@@ -91,17 +91,17 @@ class ShardedStore {
   std::shared_ptr<SourceStore> shard_ptr(size_t s) const {
     return shards_[s];
   }
-  /// The per-shard serving facade (full hybrid routing per shard).
-  const EntropyEngine& shard_engine(size_t s) const { return *engines_[s]; }
+  /// Shard s's hybrid router (what every Answer* path fans out to).
+  const QueryRouter& router(size_t s) const { return routers_[s]; }
   PartitionScheme scheme() const { return scheme_; }
   /// Routing attribute (meaningful under PartitionScheme::kAttribute).
   AttrId partition_attr() const { return partition_attr_; }
   /// Compaction generation the loaded manifest carried (0 for a store no
   /// compaction ever ran on, and for in-memory stores).
   uint64_t compaction_gen() const { return compaction_gen_; }
-  /// Shard s's zone map; null when the shard carries none (legacy store,
-  /// or a deleted zone-map file degraded at load) — such shards are never
-  /// pruned.
+  /// Shard s's zone map; null when the shard carries none (a store
+  /// assembled from in-memory shards, or a deleted zone-map file degraded
+  /// at load) — such shards are never pruned.
   std::shared_ptr<const ZoneMap> zone_map(size_t s) const {
     return zone_maps_[s];
   }
@@ -124,44 +124,39 @@ class ShardedStore {
   /// TOTAL relation cardinality: the sum of per-shard n.
   double n() const { return total_n_; }
 
-  /// Merged COUNT(*): every shard routes and answers, estimates and
-  /// variances sum. `per_shard` (optional) receives shard s's own routing
-  /// decision in slot s — the "per-shard route printing" surface of
-  /// entropydb_query.
-  Result<QueryEstimate> Answer(
-      const CountingQuery& q,
-      std::vector<RouteDecision>* per_shard = nullptr) const;
-
   /// The unified aggregate surface, merged across shards. COUNT and SUM
   /// are additive: estimates, variances, BOTH moment legs, and the
   /// SUM/COUNT covariance all sum over the disjoint row partitions
   /// (independently fit models make the per-shard estimators independent).
   /// AVG merges the per-shard moment legs the same way and then applies
-  /// ONE delta method to the merged moments — covariance term included, so
-  /// the cross-shard ratio variance matches the unsharded formula instead
-  /// of dropping Cov(S, C) (docs/ESTIMATORS.md "Cross-shard merging").
+  /// ONE delta method (DeltaMethodRatio) to the merged moments —
+  /// covariance term included, so the cross-shard ratio variance matches
+  /// the unsharded formula (docs/ESTIMATORS.md "Cross-shard merging").
   /// QUANTILE/TOPK/JOIN derive at the engine facade from the merged
-  /// group-by marginals — kNotSupported here.
+  /// group-by marginals — kNotSupported here. `per_shard` (optional)
+  /// receives shard s's own routing decision in slot s — the "per-shard
+  /// route printing" surface of entropydb_query.
   Result<QueryResult> Answer(
       const AggregateQuery& q,
       std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Merged whole-attribute group-by: per-value counts are additive across
-  /// shards exactly like plain COUNTs.
+  /// shards exactly like plain COUNTs. `per_shard` as for Answer.
   Result<std::vector<QueryEstimate>> AnswerGroupByAttribute(
-      AttrId a, const CountingQuery& base) const;
+      AttrId a, const CountingQuery& base,
+      std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Merged point group-by over explicit keys (additive per key).
   Result<std::map<std::vector<Code>, QueryEstimate>> AnswerGroupBy(
       const std::vector<AttrId>& attrs,
-      const std::vector<std::vector<Code>>& keys,
-      const CountingQuery& base) const;
+      const std::vector<std::vector<Code>>& keys, const CountingQuery& base,
+      std::vector<RouteDecision>* per_shard = nullptr) const;
 
   /// Batched COUNT workload: the shards x queries grid fans out flat on
   /// the ParallelFor pool (each cell is one shard answering one query into
   /// a disjoint slot), then per-query merges run serially in shard order —
-  /// so slot i is bitwise Answer(qs[i]). `per_shard` (optional) gets
-  /// decisions[i][s] = shard s's decision on qs[i].
+  /// so slot i is bitwise Answer(AggregateQuery::Count(qs[i])). `per_shard`
+  /// (optional) gets decisions[i][s] = shard s's decision on qs[i].
   Result<std::vector<QueryEstimate>> AnswerAll(
       const std::vector<CountingQuery>& qs,
       std::vector<std::vector<RouteDecision>>* per_shard = nullptr) const;
@@ -178,9 +173,8 @@ class ShardedStore {
     /// Number of leading WAL records already sealed into shards; replay
     /// starts after them (0 for a store with no ingest history).
     uint64_t wal_sealed = 0;
-    /// Shard dirs (a subset of `shard_dirs`) that carry a ZONEMAP file.
-    /// v3 manifests and pre-pruning v4 manifests list none — such stores
-    /// load unchanged and skip pruning.
+    /// Shard dirs (a subset of `shard_dirs`) that carry a ZONEMAP file;
+    /// shards not listed are never pruned.
     std::vector<std::string> zonemap_dirs;
     /// Monotone compaction generation: 0 for a store no compaction ever
     /// ran on; RunCompaction (engine/compaction.h) bumps it by one at
@@ -188,15 +182,14 @@ class ShardedStore {
     /// ("shard_c<gen>_<j>").
     uint64_t compaction_gen = 0;
     /// Per-shard row counts aligned with `shard_dirs`: either empty
-    /// (unknown — a pre-compaction-era manifest) or exactly one entry
-    /// per shard. The compaction planner's oversize trigger reads these
-    /// without loading any shard; Save, ingest sealing, and compaction
-    /// all maintain them.
+    /// (unknown) or exactly one entry per shard. The compaction planner's
+    /// oversize trigger reads these without loading any shard; Save,
+    /// ingest sealing, and compaction all maintain them.
     std::vector<uint64_t> shard_rows;
   };
 
-  /// Reads `dir/MANIFEST`. Accepts v4-sharded (checksummed — footer
-  /// required) and legacy v3 (loads with a stderr warning; wal_sealed 0).
+  /// Reads `dir/MANIFEST`: a checksummed v4-sharded record (a missing
+  /// footer is kCorruption, a mono manifest kInvalidArgument).
   static Result<Manifest> ReadManifest(const std::string& dir,
                                        Env* env = Env::Default(),
                                        bool verify_checksums = true);
@@ -213,9 +206,9 @@ class ShardedStore {
   /// parallel) is staged into a `<dir>.tmp-<nonce>` sibling and published
   /// in one rename.
   Status Save(const std::string& dir, Env* env = Env::Default()) const;
-  /// Restores a v4/v3 sharded directory (shards load in parallel; `opts`
-  /// is passed through to every summary load). Rejects v1/v2 manifests —
-  /// those are monolithic stores, which SourceStore::Load owns. Stale
+  /// Restores a v4-sharded directory (shards load in parallel; `opts` is
+  /// passed through to every summary load). Rejects mono manifests —
+  /// SourceStore::Load owns those (EntropyEngine::Open wraps them). Stale
   /// staging directories next to `dir` are garbage-collected, and so is
   /// every `shard_*` entry inside `dir` the manifest does not reference:
   /// a crashed ingest seal or compaction strands half-built shards, and
@@ -227,8 +220,8 @@ class ShardedStore {
                                                     SummaryOptions opts = {},
                                                     Env* env = Env::Default());
 
-  /// True when `dir` holds a sharded (v3 or v4-sharded) manifest — the
-  /// dispatch test EntropyEngine::Open uses.
+  /// True when `dir` holds a v4-sharded manifest — the dispatch test
+  /// EntropyEngine::Open uses.
   static bool IsShardedDir(const std::string& dir,
                            Env* env = Env::Default());
 
@@ -239,11 +232,13 @@ class ShardedStore {
                AttrId partition_attr);
 
   /// True when shard `s`'s zone map proves `q` cannot match it (the skip
-  /// test every Answer* path runs). `*attr` gets the proving attribute.
-  bool Prunable(size_t s, const CountingQuery& q, AttrId* attr) const;
+  /// test every Answer* path runs); then also marks shard s's slot of the
+  /// optional per-shard decisions as pruned, with the proving attribute.
+  bool Skip(size_t s, const CountingQuery& q,
+            std::vector<RouteDecision>* per_shard) const;
 
   std::vector<std::shared_ptr<SourceStore>> shards_;
-  std::vector<std::shared_ptr<EntropyEngine>> engines_;
+  std::vector<QueryRouter> routers_;
   /// One slot per shard; null = never pruned.
   std::vector<std::shared_ptr<const ZoneMap>> zone_maps_;
   PartitionScheme scheme_ = PartitionScheme::kRoundRobin;

@@ -255,35 +255,20 @@ Result<std::shared_ptr<SourceStore>> SourceStore::Load(
     const std::string& dir, SummaryOptions opts, Env* env) {
   RemoveStaleStagingDirs(env, dir);
   const std::string manifest_path = (fs::path(dir) / "MANIFEST").string();
-  bool had_footer = false;
   ASSIGN_OR_RETURN(std::string payload,
                    ReadChecksummedFile(env, manifest_path,
-                                       opts.verify_checksums, &had_footer));
+                                       opts.verify_checksums));
   std::istringstream in(payload);
   std::string token;
-  if (!(in >> token) ||
-      (token != "ENTROPYDB_STORE_V1" && token != "ENTROPYDB_STORE_V2" &&
-       token != "ENTROPYDB_STORE_V4")) {
+  if (!(in >> token) || token != "ENTROPYDB_STORE_V4") {
     return Status::Corruption("bad store manifest header in " + dir);
   }
-  if (token == "ENTROPYDB_STORE_V4") {
-    std::string kind;
-    if (!(in >> kind) || kind != "mono") {
-      return Status::InvalidArgument(
-          "not a mono store manifest in " + dir +
-          " (open sharded stores through EntropyEngine)");
-    }
-    if (!had_footer) {
-      return Status::Corruption("missing checksum footer in " +
-                                manifest_path);
-    }
-  } else if (!had_footer) {
-    std::fprintf(stderr,
-                 "entropydb: warning: %s has no checksum footer "
-                 "(legacy format, loaded unverified)\n",
-                 manifest_path.c_str());
+  std::string kind;
+  if (!(in >> kind) || kind != "mono") {
+    return Status::InvalidArgument(
+        "not a mono store manifest in " + dir +
+        " (open sharded stores through EntropyEngine)");
   }
-  const bool v2 = token != "ENTROPYDB_STORE_V1";
   size_t k = 0;
   if (!(in >> token >> k) || token != "summaries" || k == 0) {
     return Status::Corruption("bad summaries record in " + dir);
@@ -298,24 +283,18 @@ Result<std::shared_ptr<SourceStore>> SourceStore::Load(
     if (!ps.ok()) return ps;
   }
 
-  // v2 appends the samples section; a v1 (PR 2-era) manifest simply ends
-  // after the summary entries.
   size_t ns = 0;
-  std::vector<std::string> sample_files;
-  std::vector<SampleEntry> samples;
-  if (v2) {
-    if (!(in >> token >> ns) || token != "samples") {
-      return Status::Corruption("bad samples record in " + dir);
+  if (!(in >> token >> ns) || token != "samples") {
+    return Status::Corruption("bad samples record in " + dir);
+  }
+  std::vector<std::string> sample_files(ns);
+  std::vector<SampleEntry> samples(ns);
+  for (size_t i = 0; i < ns; ++i) {
+    if (!(in >> token >> sample_files[i]) || token != "sample") {
+      return Status::Corruption("bad store sample record in " + dir);
     }
-    sample_files.resize(ns);
-    samples.resize(ns);
-    for (size_t i = 0; i < ns; ++i) {
-      if (!(in >> token >> sample_files[i]) || token != "sample") {
-        return Status::Corruption("bad store sample record in " + dir);
-      }
-      Status ps = ReadPairs(in, dir, &samples[i].pairs);
-      if (!ps.ok()) return ps;
-    }
+    Status ps = ReadPairs(in, dir, &samples[i].pairs);
+    if (!ps.ok()) return ps;
   }
 
   // Source loads are independent (each summary rebuilds its own compressed

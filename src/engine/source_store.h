@@ -60,7 +60,7 @@ struct StoreOptions {
   /// scanning the whole sample. Indexed and unindexed evaluation are
   /// bitwise identical — this knob trades index memory/build time for
   /// route-time latency only. Indexes are built in parallel and persisted
-  /// in the .eds v2 files Save writes.
+  /// in the .eds files Save writes.
   bool sample_index = true;
 };
 
@@ -95,15 +95,17 @@ struct SampleEntry {
 ///
 /// Sample companions carry a row-group index (sampling/sample_index.h,
 /// StoreOptions::sample_index) built in parallel at Build time; Save
-/// persists it in the .eds v2 files, Load restores it (or rebuilds it for
-/// PR 3-era v1 .eds files) inside the parallel load fan-out.
+/// persists it in the .eds files and Load restores it inside the parallel
+/// load fan-out.
 ///
-/// Save/Load persist the whole store as a directory (one MANIFEST plus one
-/// .edb file per summary and one .eds file per sample), restoring without
-/// re-solving or re-sampling; loads are parallel. MANIFEST v2 adds the
-/// samples section; v1 (summary-only, PR 2-era) directories load
-/// unchanged. All sources share the relation's attribute schema; queries
-/// are position-compatible across the store.
+/// Save/Load persist the whole store as a directory (one checksummed
+/// MANIFEST v4 plus one .edb file per summary and one .eds file per
+/// sample), restoring without re-solving or re-sampling; loads are
+/// parallel. All sources share the relation's attribute schema; queries
+/// are position-compatible across the store. A store is one shard of the
+/// engine's S x K shape (engine/sharded_store.h): EntropyEngine serves a
+/// mono directory as the S = 1 case and a lone summary as one entry with
+/// no pairs.
 class SourceStore {
  public:
   static Result<std::shared_ptr<SourceStore>> Build(const Table& table,
@@ -168,10 +170,10 @@ class SourceStore {
   /// everyone else wants Save.
   Status SaveContents(const std::string& dir, Env* env) const;
   /// Restores a saved store without re-solving (sources load in
-  /// parallel). Accepts MANIFEST v4 (checksummed era — footer required),
-  /// v2, and PR 2-era v1 (summary-only) directories; legacy manifests
-  /// load with a stderr warning. Garbage-collects stale staging
-  /// directories a crashed save left next to `dir`.
+  /// parallel). Requires a checksummed MANIFEST v4 mono record (a sharded
+  /// one is kInvalidArgument, a missing footer kCorruption).
+  /// Garbage-collects stale staging directories a crashed save left next
+  /// to `dir`.
   static Result<std::shared_ptr<SourceStore>> Load(const std::string& dir,
                                                    SummaryOptions opts = {},
                                                    Env* env = Env::Default());
@@ -197,10 +199,6 @@ class SourceStore {
   std::vector<std::shared_ptr<SampleSource>> sample_sources_;
   size_t widest_ = 0;
 };
-
-/// PR 2-era name for the summary-only store; SourceStore supersedes it and
-/// loads those directories unchanged.
-using SummaryStore = SourceStore;
 
 }  // namespace entropydb
 

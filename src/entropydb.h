@@ -6,9 +6,10 @@
 /// summarization for interactive data exploration (Orr, Balazinska, Suciu;
 /// VLDB 2017).
 ///
-/// Typical use — the engine facade serves one summary or a routed
-/// multi-source store (maxent summaries + sample companions) behind the
-/// same query surface:
+/// Typical use — the engine facade serves ONE store shape, S >= 1 row
+/// shards of K >= 1 sources (maxent summaries + sample companions), behind
+/// one query surface; a single summary is the 1 x 1 case and a routed
+/// store the S = 1 case:
 /// \code
 ///   using namespace entropydb;
 ///   auto table = FlightsGenerator::Generate({.num_rows = 500000});
@@ -30,9 +31,9 @@
 ///   // engines' models on a shared attribute.
 /// \endcode
 ///
-/// Single-summary path (the original seed API) keeps the same shape:
-/// EntropySummary::Build + Answer, or EntropyEngine::FromSummary to keep
-/// the facade.
+/// Single-summary path (the original seed API): EntropySummary::Build +
+/// Answer, or EntropyEngine::FromSummary (or Open on a .edb file) for the
+/// same facade over the 1 x 1 store.
 
 #include "common/env.h"
 #include "common/result.h"

@@ -81,16 +81,8 @@ Result<QueryResult> QueryAnswerer::Answer(const AggregateQuery& q) const {
 
   if (q.kind == AggregateKind::kSum) {
     out.estimate = out.sum;
-  } else if (out.count.expectation > 0.0) {
-    // Delta method on R = S/C with the moments above — the covariance is
-    // kept, not assumed away.
-    const double c = out.count.expectation;
-    const double r = out.sum.expectation / c;
-    out.estimate.expectation = r;
-    out.estimate.variance = std::max(
-        0.0, (out.sum.variance - 2.0 * r * out.sum_count_cov +
-              r * r * out.count.variance) /
-                 (c * c));
+  } else {
+    out.estimate = DeltaMethodRatio(out.sum, out.count, out.sum_count_cov);
   }
   out.route.expected_variance = out.estimate.variance;
   out.route.summary_variance = out.estimate.variance;

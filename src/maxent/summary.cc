@@ -120,27 +120,12 @@ Status EntropySummary::Save(const std::string& path, Env* env) const {
 
 Result<std::shared_ptr<EntropySummary>> EntropySummary::Load(
     const std::string& path, SummaryOptions opts, Env* env) {
-  bool had_footer = false;
   ASSIGN_OR_RETURN(std::string payload,
-                   ReadChecksummedFile(env, path, opts.verify_checksums,
-                                       &had_footer));
+                   ReadChecksummedFile(env, path, opts.verify_checksums));
   std::istringstream in(payload);
   std::string token;
-  if (!(in >> token) ||
-      (token != "ENTROPYDB_SUMMARY_V1" && token != "ENTROPYDB_SUMMARY_V2")) {
+  if (!(in >> token) || token != "ENTROPYDB_SUMMARY_V2") {
     return Status::Corruption("bad summary header in " + path);
-  }
-  // v2 is the checksummed era: a v2 file without a verifiable footer lost
-  // its tail. v1 predates checksums and loads unverified (warn — the
-  // next Save rewrites it as v2).
-  if (token == "ENTROPYDB_SUMMARY_V2" && !had_footer) {
-    return Status::Corruption("missing checksum footer in " + path);
-  }
-  if (!had_footer) {
-    std::fprintf(stderr,
-                 "entropydb: warning: %s has no checksum footer "
-                 "(legacy format, loaded unverified)\n",
-                 path.c_str());
   }
   double n = 0.0;
   size_t m = 0;
@@ -183,11 +168,14 @@ Result<std::shared_ptr<EntropySummary>> EntropySummary::Load(
     }
   }
 
-  // Optional domains section (older files may omit it).
+  // Domains section: "domains 0" for a summary built from a bare
+  // registry, else one record per attribute.
   std::vector<Domain> domains;
   size_t num_domains = 0;
-  if (in >> token && token == "domains" && (in >> num_domains) &&
-      num_domains > 0) {
+  if (!(in >> token >> num_domains) || token != "domains") {
+    return Status::Corruption("bad domains record in " + path);
+  }
+  if (num_domains > 0) {
     if (num_domains != m) {
       return Status::Corruption("domain count mismatch");
     }

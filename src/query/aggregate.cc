@@ -104,6 +104,21 @@ AggregateQuery AggregateQuery::JoinSum(AttrId sum_attr,
   return q;
 }
 
+QueryEstimate DeltaMethodRatio(const QueryEstimate& sum,
+                               const QueryEstimate& count,
+                               double sum_count_cov) {
+  QueryEstimate out;
+  if (count.expectation > 0.0) {
+    const double c = count.expectation;
+    const double r = sum.expectation / c;
+    out.expectation = r;
+    const double num =
+        sum.variance - 2.0 * r * sum_count_cov + r * r * count.variance;
+    out.variance = std::max(0.0, num / (c * c));
+  }
+  return out;
+}
+
 std::vector<double> BucketWeights(const Domain& dom) {
   std::vector<double> weights(dom.size());
   for (Code v = 0; v < dom.size(); ++v) {

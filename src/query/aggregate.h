@@ -191,6 +191,16 @@ struct QueryResult {
   RouteDecision route;
 };
 
+/// The delta-method AVG over SUM/COUNT moment legs: R = S / C with
+///   Var R = (Var S - 2 R Cov(S, C) + R^2 Var C) / C^2,
+/// the covariance kept rather than assumed away (docs/ESTIMATORS.md).
+/// {0, 0} when the count leg is not positive. A single model's AVG and a
+/// cross-shard merge both call this, so a one-shard AVG is bitwise the
+/// model's own.
+QueryEstimate DeltaMethodRatio(const QueryEstimate& sum,
+                               const QueryEstimate& count,
+                               double sum_count_cov);
+
 /// Bucket-representative weights for aggregating over `dom`: the label
 /// order index for categorical attributes, the bucket representative
 /// (midpoint) for numeric ones — the one rule entropydb_query and the

@@ -27,8 +27,8 @@ struct WeightedSample {
   /// SampleEstimator evaluates selective queries over the matching row
   /// groups instead of scanning every row — bitwise-identically, so
   /// carrying (or dropping) the index never changes an estimate, only its
-  /// latency. Built by SourceStore (StoreOptions::sample_index), persisted
-  /// in .eds v2 files, rebuilt on load for v1 files.
+  /// latency. Built by SourceStore (StoreOptions::sample_index) and
+  /// persisted in the .eds files.
   std::shared_ptr<const SampleIndex> index;
 
   size_t size() const { return rows ? rows->num_rows() : 0; }

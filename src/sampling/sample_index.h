@@ -45,7 +45,7 @@ class SampleIndex {
   /// group by construction).
   static std::shared_ptr<const SampleIndex> Build(const Table& rows);
 
-  /// Assembles an index from persisted parts (sample_io's .eds v2 load),
+  /// Assembles an index from persisted parts (sample_io's .eds load),
   /// validating the invariants Build guarantees — offsets are monotone
   /// prefix sums ending at `num_rows`, each group's rows are ascending,
   /// and every grouped row really carries the group's code in `rows` — so

@@ -72,7 +72,7 @@ Status SaveSample(const WeightedSample& sample, const std::string& path,
     WriteDouble(out, sample.weights[r]);
     out << '\n';
   }
-  // v2 index block: per attribute, the prefix-sum group offsets and the
+  // Index block: per attribute, the prefix-sum group offsets and the
   // grouped row permutation. "index 0" marks an index-less sample (built
   // with indexing off); Load then leaves the index absent rather than
   // second-guessing the builder.
@@ -95,27 +95,13 @@ Status SaveSample(const WeightedSample& sample, const std::string& path,
 
 Result<WeightedSample> LoadSample(const std::string& path, Env* env,
                                   bool verify_checksums) {
-  bool had_footer = false;
-  ASSIGN_OR_RETURN(
-      std::string payload,
-      ReadChecksummedFile(env, path, verify_checksums, &had_footer));
+  ASSIGN_OR_RETURN(std::string payload,
+                   ReadChecksummedFile(env, path, verify_checksums));
   std::istringstream in(payload);
   std::string token;
-  if (!(in >> token) ||
-      (token != "ENTROPYDB_SAMPLE_V1" && token != "ENTROPYDB_SAMPLE_V2" &&
-       token != "ENTROPYDB_SAMPLE_V3")) {
+  if (!(in >> token) || token != "ENTROPYDB_SAMPLE_V3") {
     return Status::Corruption("bad sample header in " + path);
   }
-  if (token == "ENTROPYDB_SAMPLE_V3" && !had_footer) {
-    return Status::Corruption("missing checksum footer in " + path);
-  }
-  if (!had_footer) {
-    std::fprintf(stderr,
-                 "entropydb: warning: %s has no checksum footer "
-                 "(legacy format, loaded unverified)\n",
-                 path.c_str());
-  }
-  const bool v2 = token != "ENTROPYDB_SAMPLE_V1";
   WeightedSample sample;
   if (!(in >> token >> sample.name) || token != "name") {
     return Status::Corruption("bad sample name record in " + path);
@@ -181,13 +167,6 @@ Result<WeightedSample> LoadSample(const std::string& path, Env* env,
   }
   ASSIGN_OR_RETURN(sample.rows, builder.Finish());
 
-  if (!v2) {
-    // v1 (PR 3-era) files predate the row-group index: rebuild it on open
-    // so old companions serve indexed without a file rewrite (the same
-    // forward-compat rule the store MANIFEST uses).
-    sample.index = SampleIndex::Build(*sample.rows);
-    return sample;
-  }
   size_t indexed = 0;
   if (!(in >> token >> indexed) || token != "index") {
     return Status::Corruption("bad sample index record in " + path);

@@ -159,12 +159,14 @@ QueryServer::~QueryServer() { Stop(); }
 
 void QueryServer::Stop() {
   if (stopping_.exchange(true)) return;
+  // shutdown() wakes the blocked accept(); the descriptor is closed and
+  // cleared only after the accept thread, which reads it, has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -279,8 +281,14 @@ QueryServer::ResolveEngine(Session* session) {
   if (catalog_ == nullptr) {
     return std::make_pair(static_engine_, uint64_t{0});
   }
-  const uint64_t id = catalog_->current();
-  ASSIGN_OR_RETURN(std::shared_ptr<EntropyEngine> engine, catalog_->Pin(id));
+  // Unpinned requests answer against whatever CURRENT names at this
+  // moment (docs/SERVING.md): a publish through another VersionSet —
+  // another process, or an append inside this one — reaches every
+  // unpinned session on its next request. Unchanged, the refresh costs
+  // one small CURRENT read.
+  RETURN_NOT_OK(catalog_->Refresh().status());
+  uint64_t id = 0;
+  ASSIGN_OR_RETURN(std::shared_ptr<EntropyEngine> engine, catalog_->Live(&id));
   return std::make_pair(std::move(engine), id);
 }
 

@@ -93,8 +93,9 @@ class QueryServer {
   void Stop();
 
   /// Re-reads the root's CURRENT pointer (no-op for unversioned paths).
-  /// Sessions trigger the same refresh with OPEN/VERSION commands; this
-  /// entry point is for an embedding process that just published.
+  /// Unpinned requests and OPEN/VERSION commands trigger the same
+  /// refresh; this entry point lets an embedding process that just
+  /// published warm the new version before the next request.
   Result<bool> RefreshVersions();
 
   Stats stats() const;
@@ -116,7 +117,7 @@ class QueryServer {
   /// an ERR response in the caller.
   Result<std::string> HandleRequest(Session* session, const Request& req);
   /// The engine a session's queries answer against, plus its version id
-  /// (0 when unversioned).
+  /// (0 when unversioned). Unpinned sessions refresh CURRENT first.
   Result<std::pair<std::shared_ptr<EntropyEngine>, uint64_t>> ResolveEngine(
       Session* session);
   Result<std::string> HandleQuery(Session* session, const Request& req);

@@ -20,10 +20,11 @@ Result<std::unique_ptr<VersionCatalog>> VersionCatalog::Open(
   return catalog;
 }
 
-Result<std::shared_ptr<EntropyEngine>> VersionCatalog::Live() {
-  const uint64_t id = version_set_->current();
+Result<std::shared_ptr<EntropyEngine>> VersionCatalog::Live(uint64_t* id) {
   std::lock_guard<std::mutex> lock(mu_);
-  return PinLocked(id);
+  const uint64_t current = version_set_->current();
+  if (id != nullptr) *id = current;
+  return PinLocked(current);
 }
 
 Result<std::shared_ptr<EntropyEngine>> VersionCatalog::Pin(uint64_t id) {
@@ -48,6 +49,9 @@ Result<std::shared_ptr<EntropyEngine>> VersionCatalog::PinLocked(
 
 Result<bool> VersionCatalog::Refresh() {
   ASSIGN_OR_RETURN(const bool changed, version_set_->Refresh());
+  // Retention only ever retires versions at a publish, so an unchanged
+  // CURRENT leaves the cached engines as they are.
+  if (!changed) return false;
   std::lock_guard<std::mutex> lock(mu_);
   const std::vector<uint64_t> retained = version_set_->versions();
   for (auto it = engines_.begin(); it != engines_.end();) {
@@ -60,8 +64,8 @@ Result<bool> VersionCatalog::Refresh() {
       ++it;
     }
   }
-  if (changed) PinLocked(current()).status().ok();
-  return changed;
+  PinLocked(current()).status().ok();
+  return true;
 }
 
 uint64_t VersionCatalog::current() const { return version_set_->current(); }

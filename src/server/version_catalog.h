@@ -34,8 +34,9 @@ class VersionCatalog {
   static Result<std::unique_ptr<VersionCatalog>> Open(
       const std::string& root, SummaryOptions opts, Env* env);
 
-  /// The engine for the live (CURRENT) version.
-  Result<std::shared_ptr<EntropyEngine>> Live();
+  /// The engine for the live (CURRENT) version as last read; `id`
+  /// (optional) receives that version's id.
+  Result<std::shared_ptr<EntropyEngine>> Live(uint64_t* id = nullptr);
 
   /// The engine for retained version `id`; kNotFound when `id` is neither
   /// retained on disk nor already pinned in memory.

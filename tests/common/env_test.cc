@@ -60,10 +60,8 @@ TEST_F(EnvTest, ChecksummedRoundTrip) {
   Env* env = Env::Default();
   const std::string payload = "line one\nline two\n";
   ASSERT_TRUE(WriteChecksummedFile(env, Path("f"), payload).ok());
-  bool had_footer = false;
-  auto got = ReadChecksummedFile(env, Path("f"), true, &had_footer);
+  auto got = ReadChecksummedFile(env, Path("f"));
   ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(had_footer);
   EXPECT_EQ(*got, payload);
 }
 
@@ -76,31 +74,22 @@ TEST_F(EnvTest, ChecksummedDetectsEveryByteFlip) {
     std::string mutated = raw;
     mutated[i] ^= 0x01;
     ASSERT_TRUE(env->WriteFile(Path("m"), mutated).ok());
-    auto got = ReadChecksummedFile(env, Path("m"));
     // A flip in the payload or the hex digits is a checksum mismatch; a
-    // flip in the footer TAG makes the file look legacy (footer absent),
-    // which ReadChecksummedFile reports through had_footer — format
-    // version headers are what close that hole (and the corruption fuzz
-    // test proves they do).
-    if (got.ok()) {
-      bool had_footer = true;
-      ASSERT_TRUE(
-          ReadChecksummedFile(env, Path("m"), true, &had_footer).ok());
-      EXPECT_FALSE(had_footer) << "byte " << i;
-    } else {
-      EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << "byte " << i;
-    }
+    // flip in the footer tag leaves no footer at all. Both are corruption.
+    auto got = ReadChecksummedFile(env, Path("m"));
+    ASSERT_FALSE(got.ok()) << "byte " << i;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << "byte " << i;
   }
 }
 
-TEST_F(EnvTest, LegacyFileWithoutFooterStillReads) {
+TEST_F(EnvTest, FileWithoutFooterIsCorruption) {
   Env* env = Env::Default();
-  ASSERT_TRUE(env->WriteFile(Path("legacy"), "old contents\n").ok());
-  bool had_footer = true;
-  auto got = ReadChecksummedFile(env, Path("legacy"), true, &had_footer);
-  ASSERT_TRUE(got.ok());
-  EXPECT_FALSE(had_footer);
-  EXPECT_EQ(*got, "old contents\n");
+  ASSERT_TRUE(env->WriteFile(Path("bare"), "no footer\n").ok());
+  for (bool verify : {true, false}) {
+    auto got = ReadChecksummedFile(env, Path("bare"), verify);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST_F(EnvTest, PublishDirFreshAndReplace) {

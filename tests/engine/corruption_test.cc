@@ -257,8 +257,8 @@ TEST_F(CorruptionTest, DeletedZoneMapDegradesToFullFanOutWithWarning) {
   // estimate, so losing the ability to prune cannot either.
   CountingQuery q(5);
   q.Where(0, AttrPredicate::Point(2)).Where(4, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*degraded)->Answer(q);
+  auto a = testutil::CountOf(**fresh, q);
+  auto b = testutil::CountOf(**degraded, q);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->expectation, b->expectation);
@@ -298,7 +298,8 @@ TEST_F(CorruptionTest, VerificationCanBeDisabled) {
 }
 
 // ---------------------------------------------------------------------
-// Backward compatibility: strip the artifacts back to the legacy formats.
+// Pre-checksum formats are gone: artifacts stripped back to them (no
+// footer, legacy header) must fail typed, never load unverified.
 
 /// Drops the 16-byte `crc32c <hex>\n` footer if present.
 std::string StripFooter(std::string raw) {
@@ -342,29 +343,36 @@ void DowngradeMonoDir(const std::string& dir) {
   }
 }
 
-TEST_F(CorruptionTest, LegacyMonoDirectoryStillLoads) {
-  auto fresh = EntropyEngine::Open(MonoDir());
-  ASSERT_TRUE(fresh.ok());
-
+TEST_F(CorruptionTest, LegacyMonoDirectoryIsRejected) {
   const std::string dir = Clone(MonoDir());
   DowngradeMonoDir(dir);
   auto legacy = EntropyEngine::Open(dir);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_TRUE(legacy.status().IsCorruption()) << legacy.status().ToString();
 
-  // Same store: identical answer on a selective conjunctive query.
-  CountingQuery q(5);
-  q.Where(0, AttrPredicate::Point(1)).Where(1, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*legacy)->Answer(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->expectation, b->expectation, 1e-9 * (1.0 + a->expectation));
+  // Each legacy artifact on its own, inside an otherwise current store:
+  // the v1 summary and the v2 sample readers are gone too.
+  for (const std::string& suffix : {".edb", ".eds"}) {
+    const std::string clone = Clone(MonoDir());
+    for (const auto& e : fs::directory_iterator(clone)) {
+      const std::string name = e.path().filename().string();
+      if (name.size() <= 4 ||
+          name.compare(name.size() - 4, 4, suffix) != 0) {
+        continue;
+      }
+      const char* header =
+          suffix == ".edb" ? "ENTROPYDB_SUMMARY_V1" : "ENTROPYDB_SAMPLE_V2";
+      RewriteFile(e.path().string(), header);
+      break;
+    }
+    auto opened = EntropyEngine::Open(clone);
+    ASSERT_FALSE(opened.ok()) << suffix;
+    EXPECT_TRUE(opened.status().IsCorruption())
+        << suffix << ": " << opened.status().ToString();
+  }
 }
 
-TEST_F(CorruptionTest, LegacyShardedDirectoryStillLoads) {
-  auto fresh = EntropyEngine::Open(ShardedDir());
-  ASSERT_TRUE(fresh.ok());
-
+TEST_F(CorruptionTest, LegacyShardedDirectoryIsRejected) {
   const std::string dir = Clone(ShardedDir());
   // v3 sharded manifest: no kind token, no wal_sealed line, no footer.
   std::string raw;
@@ -390,16 +398,9 @@ TEST_F(CorruptionTest, LegacyShardedDirectoryStillLoads) {
   }
 
   auto legacy = EntropyEngine::Open(dir);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ((*legacy)->num_shards(), 2u);
-
-  CountingQuery q(5);
-  q.Where(2, AttrPredicate::Point(1)).Where(3, AttrPredicate::Point(1));
-  auto a = (*fresh)->Answer(q);
-  auto b = (*legacy)->Answer(q);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a->expectation, b->expectation, 1e-9 * (1.0 + a->expectation));
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_TRUE(legacy.status().IsCorruption()) << legacy.status().ToString();
+  EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
 }
 
 }  // namespace

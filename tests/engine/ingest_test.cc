@@ -93,7 +93,7 @@ TEST_F(IngestTest, AppendGrowsTheStore) {
 
   // The merged unconstrained COUNT tracks the grown relation.
   CountingQuery q(5);
-  auto est = (*opened)->Answer(q);
+  auto est = testutil::CountOf(**opened, q);
   ASSERT_TRUE(est.ok());
   EXPECT_NEAR(est->expectation, 1800.0, 0.02 * 1800.0);
 }

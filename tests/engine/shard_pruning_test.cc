@@ -102,11 +102,11 @@ TEST(ShardPruningTest, PrunedAnswersBitwiseEqualFullFanOutAcrossSchemes) {
     for (const CountingQuery& q : FuzzQueries(80, 311)) {
       (*sharded)->set_zone_map_pruning(true);
       std::vector<RouteDecision> decs;
-      auto cnt_on = (*sharded)->Answer(q, &decs);
+      auto cnt_on = testutil::CountOf(**sharded, q, &decs);
       auto sum_on = (*sharded)->Answer(AggregateQuery::Sum(2, weights, q));
       auto avg_on = (*sharded)->Answer(AggregateQuery::Avg(2, weights, q));
       (*sharded)->set_zone_map_pruning(false);
-      auto cnt_off = (*sharded)->Answer(q);
+      auto cnt_off = testutil::CountOf(**sharded, q);
       auto sum_off = (*sharded)->Answer(AggregateQuery::Sum(2, weights, q));
       auto avg_off = (*sharded)->Answer(AggregateQuery::Avg(2, weights, q));
       ASSERT_TRUE(cnt_on.ok() && cnt_off.ok());
@@ -144,7 +144,7 @@ TEST(ShardPruningTest, AttributePointQueryPrunesAllButTheOwnerShard) {
   CountingQuery q(4);
   q.Where(0, AttrPredicate::Point(7));
   std::vector<RouteDecision> decs;
-  auto merged = (*sharded)->Answer(q, &decs);
+  auto merged = testutil::CountOf(**sharded, q, &decs);
   ASSERT_TRUE(merged.ok());
   ASSERT_EQ(decs.size(), 4u);
   for (size_t s = 0; s < 4; ++s) {
@@ -152,7 +152,7 @@ TEST(ShardPruningTest, AttributePointQueryPrunesAllButTheOwnerShard) {
     if (decs[s].pruned) EXPECT_EQ(decs[s].pruned_attr, 0u);
   }
   // The merge reduces to the owner shard alone — bitwise.
-  auto owner = (*sharded)->shard_engine(2).Answer(q);
+  auto owner = (*sharded)->router(2).Answer(q);
   ASSERT_TRUE(owner.ok());
   EXPECT_EQ(merged->expectation, owner->expectation);
   EXPECT_EQ(merged->variance, owner->variance);
@@ -250,8 +250,8 @@ TEST(ShardPruningTest, SaveLoadPreservesZoneMapsAndPartitionAttr) {
   CountingQuery q(4);
   q.Where(0, AttrPredicate::Point(1));
   std::vector<RouteDecision> built_decs, loaded_decs;
-  auto a = (*built)->Answer(q, &built_decs);
-  auto b = (*loaded)->Answer(q, &loaded_decs);
+  auto a = testutil::CountOf(**built, q, &built_decs);
+  auto b = testutil::CountOf(**loaded, q, &loaded_decs);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(built_decs.size(), loaded_decs.size());
   for (size_t s = 0; s < built_decs.size(); ++s) {
@@ -259,50 +259,6 @@ TEST(ShardPruningTest, SaveLoadPreservesZoneMapsAndPartitionAttr) {
   }
   EXPECT_NEAR(a->expectation, b->expectation,
               1e-12 * (1.0 + std::abs(a->expectation)));
-  fs::remove_all(dir);
-}
-
-TEST(ShardPruningTest, LegacyV3ManifestLoadsWithoutZoneMapsAndNeverPrunes) {
-  auto table = PruningTable(1600, 359);
-  auto built = ShardedStore::Build(
-      *table, SmallShardedOptions(PartitionScheme::kRoundRobin));
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  const std::string dir =
-      (fs::temp_directory_path() / "entropydb_shard_pruning_v3").string();
-  fs::remove_all(dir);
-  ASSERT_TRUE((*built)->Save(dir).ok());
-
-  // Rewrite the manifest as a PR 5-era v3: no checksum footer, no zonemap
-  // lines — even though the ZONEMAP files still sit in the shard dirs.
-  auto m = ShardedStore::ReadManifest(dir);
-  ASSERT_TRUE(m.ok());
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST",
-                      std::ios::binary | std::ios::trunc);
-    out << "ENTROPYDB_STORE_V3\nscheme roundrobin\nshards "
-        << m->shard_dirs.size() << "\n";
-    for (const std::string& d : m->shard_dirs) out << "shard " << d << "\n";
-  }
-
-  auto loaded = ShardedStore::Load(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  for (size_t s = 0; s < (*loaded)->num_shards(); ++s) {
-    EXPECT_EQ((*loaded)->zone_map(s), nullptr) << "shard " << s;
-  }
-  // No zone maps means no pruning: every shard scans, answers match the
-  // original store's full fan-out.
-  CountingQuery q(4);
-  q.Where(0, AttrPredicate::Point(3)).Where(2, AttrPredicate::Point(1));
-  std::vector<RouteDecision> decs;
-  auto est = (*loaded)->Answer(q, &decs);
-  ASSERT_TRUE(est.ok());
-  for (const RouteDecision& d : decs) EXPECT_FALSE(d.pruned);
-  (*built)->set_zone_map_pruning(false);
-  auto ref = (*built)->Answer(q);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_NEAR(est->expectation, ref->expectation,
-              1e-12 * (1.0 + std::abs(ref->expectation)));
   fs::remove_all(dir);
 }
 
@@ -368,9 +324,9 @@ TEST(ShardPruningTest, IngestSealedShardsCarryZoneMaps) {
   CountingQuery q(5);
   q.Where(4, AttrPredicate::Point(0));
   std::vector<RouteDecision> decs;
-  auto on = (*loaded)->Answer(q, &decs);
+  auto on = testutil::CountOf(**loaded, q, &decs);
   (*loaded)->set_zone_map_pruning(false);
-  auto off = (*loaded)->Answer(q);
+  auto off = testutil::CountOf(**loaded, q);
   ASSERT_TRUE(on.ok() && off.ok());
   ASSERT_EQ(decs.size(), 3u);
   EXPECT_TRUE(decs[2].pruned);

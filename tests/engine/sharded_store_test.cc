@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "engine/engine.h"
 #include "engine/sharded_store.h"
 
 namespace entropydb {
@@ -105,22 +106,22 @@ TEST(ShardedStoreTest, MergedEstimatesMatchAdditiveReferenceFuzz) {
 
   for (const CountingQuery& q : FuzzQueries(120, 227)) {
     // Additive reference, computed per shard through each shard's OWN
-    // serving engine: disjoint row partitions with independent models sum
+    // router: disjoint row partitions with independent models sum
     // in both moments.
     double ref_e = 0.0, ref_v = 0.0, ref_se = 0.0, ref_sv = 0.0;
     for (size_t s = 0; s < (*sharded)->num_shards(); ++s) {
-      auto cnt = (*sharded)->shard_engine(s).Answer(q);
+      auto cnt = (*sharded)->router(s).Answer(q);
       ASSERT_TRUE(cnt.ok());
       ref_e += cnt->expectation;
       ref_v += cnt->variance;
-      auto sum = (*sharded)->shard_engine(s).Answer(
+      auto sum = (*sharded)->router(s).Answer(
           AggregateQuery::Sum(2, weights, q));
       ASSERT_TRUE(sum.ok());
       ref_se += sum->estimate.expectation;
       ref_sv += sum->estimate.variance;
     }
 
-    auto merged = (*sharded)->Answer(q);
+    auto merged = testutil::CountOf(**sharded, q);
     ASSERT_TRUE(merged.ok());
     EXPECT_LE(std::abs(merged->expectation - ref_e),
               1e-9 * (1.0 + std::abs(ref_e)));
@@ -151,7 +152,7 @@ TEST(ShardedStoreTest, CovarianceAwareAvgMatchesUnshardedReferenceFuzz) {
     // a single engine holding all the rows would do with those moments.
     double s_e = 0.0, s_v = 0.0, c_e = 0.0, c_v = 0.0, cov = 0.0;
     for (size_t s = 0; s < (*sharded)->num_shards(); ++s) {
-      auto part = (*sharded)->shard_engine(s).Answer(
+      auto part = (*sharded)->router(s).Answer(
           AggregateQuery::Avg(2, weights, q));
       ASSERT_TRUE(part.ok()) << part.status().ToString();
       ASSERT_TRUE(part->has_moments);
@@ -203,7 +204,7 @@ TEST(ShardedStoreTest, AnswerAllMatchesSerialAnswerBitwise) {
   ASSERT_EQ(decisions.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
     std::vector<RouteDecision> serial_decs;
-    auto serial = (*sharded)->Answer(qs[i], &serial_decs);
+    auto serial = testutil::CountOf(**sharded, qs[i], &serial_decs);
     ASSERT_TRUE(serial.ok());
     // The batched grid merges in the same shard order: bitwise equal.
     EXPECT_EQ((*batch)[i].expectation, serial->expectation);
@@ -229,7 +230,7 @@ TEST(ShardedStoreTest, GroupByAttributeMergesAdditively) {
   ASSERT_TRUE(merged.ok());
   std::vector<double> ref_e(merged->size(), 0.0), ref_v(merged->size(), 0.0);
   for (size_t s = 0; s < (*sharded)->num_shards(); ++s) {
-    auto part = (*sharded)->shard_engine(s).AnswerGroupByAttribute(1, base);
+    auto part = (*sharded)->router(s).AnswerGroupByAttribute(1, base);
     ASSERT_TRUE(part.ok());
     ASSERT_EQ(part->size(), merged->size());
     for (size_t v = 0; v < part->size(); ++v) {
@@ -245,7 +246,7 @@ TEST(ShardedStoreTest, GroupByAttributeMergesAdditively) {
   }
 }
 
-TEST(ShardedStoreTest, ManifestV3RoundTripsBitwise) {
+TEST(ShardedStoreTest, ManifestV4RoundTripsBitwise) {
   auto table = CorrelatedTable(1800, 241);
   auto built = ShardedStore::Build(*table, SmallShardedOptions(3));
   ASSERT_TRUE(built.ok());
@@ -263,8 +264,8 @@ TEST(ShardedStoreTest, ManifestV3RoundTripsBitwise) {
   EXPECT_DOUBLE_EQ((*loaded)->n(), (*built)->n());
 
   for (const CountingQuery& q : FuzzQueries(40, 251)) {
-    auto a = (*built)->Answer(q);
-    auto b = (*loaded)->Answer(q);
+    auto a = testutil::CountOf(**built, q);
+    auto b = testutil::CountOf(**loaded, q);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_NEAR(a->expectation, b->expectation,
@@ -278,76 +279,45 @@ TEST(ShardedStoreTest, ManifestV3RoundTripsBitwise) {
 TEST(ShardedStoreTest, EngineOpenDispatchesShardedVsMonolithic) {
   auto table = CorrelatedTable(1500, 257);
 
-  // v3 (sharded) directory -> sharded engine.
+  // Sharded directory -> S shards.
   auto sharded = ShardedStore::Build(*table, SmallShardedOptions(2));
   ASSERT_TRUE(sharded.ok());
-  const std::string v3dir =
-      (fs::temp_directory_path() / "entropydb_open_v3_test").string();
-  fs::remove_all(v3dir);
-  ASSERT_TRUE((*sharded)->Save(v3dir).ok());
-  auto v3engine = EntropyEngine::Open(v3dir);
-  ASSERT_TRUE(v3engine.ok()) << v3engine.status().ToString();
-  EXPECT_TRUE((*v3engine)->is_sharded());
-  EXPECT_TRUE((*v3engine)->is_store());
-  EXPECT_EQ((*v3engine)->num_shards(), 2u);
-  EXPECT_DOUBLE_EQ((*v3engine)->n(), 1500.0);
+  const std::string sharded_dir =
+      (fs::temp_directory_path() / "entropydb_open_sharded_test").string();
+  fs::remove_all(sharded_dir);
+  ASSERT_TRUE((*sharded)->Save(sharded_dir).ok());
+  auto sharded_engine = EntropyEngine::Open(sharded_dir);
+  ASSERT_TRUE(sharded_engine.ok()) << sharded_engine.status().ToString();
+  EXPECT_EQ((*sharded_engine)->num_shards(), 2u);
+  EXPECT_DOUBLE_EQ((*sharded_engine)->n(), 1500.0);
 
-  // v2 (monolithic) directory -> store engine, exactly as before.
+  // Monolithic directory -> the S = 1 case of the same shape.
   StoreOptions mono = SmallShardedOptions(1).store;
   auto store = SourceStore::Build(*table, mono);
   ASSERT_TRUE(store.ok());
-  const std::string v2dir =
-      (fs::temp_directory_path() / "entropydb_open_v2_test").string();
-  fs::remove_all(v2dir);
-  ASSERT_TRUE((*store)->Save(v2dir).ok());
-  EXPECT_FALSE(ShardedStore::IsShardedDir(v2dir));
-  auto v2engine = EntropyEngine::Open(v2dir);
-  ASSERT_TRUE(v2engine.ok());
-  EXPECT_FALSE((*v2engine)->is_sharded());
-  EXPECT_TRUE((*v2engine)->is_store());
+  const std::string mono_dir =
+      (fs::temp_directory_path() / "entropydb_open_mono_test").string();
+  fs::remove_all(mono_dir);
+  ASSERT_TRUE((*store)->Save(mono_dir).ok());
+  EXPECT_FALSE(ShardedStore::IsShardedDir(mono_dir));
+  auto mono_engine = EntropyEngine::Open(mono_dir);
+  ASSERT_TRUE(mono_engine.ok());
+  EXPECT_EQ((*mono_engine)->num_shards(), 1u);
+  EXPECT_EQ((*mono_engine)->num_summaries(), (*store)->size());
 
   // The two layouts answer the same queries through one facade; sharded
   // estimates merge additively so totals track the monolithic ones.
   CountingQuery q(4);
   q.Where(0, AttrPredicate::Point(2)).Where(1, AttrPredicate::Point(2));
-  auto sharded_est = (*v3engine)->Answer(q);
-  auto mono_est = (*v2engine)->Answer(q);
+  auto sharded_est = testutil::CountOf(**sharded_engine, q);
+  auto mono_est = testutil::CountOf(**mono_engine, q);
   ASSERT_TRUE(sharded_est.ok());
   ASSERT_TRUE(mono_est.ok());
   EXPECT_GT(sharded_est->expectation, 0.0);
   EXPECT_GT(mono_est->expectation, 0.0);
 
-  // v1 (PR 2-era summary-only) manifest keeps loading as a monolithic
-  // store through the same Open.
-  const std::string v1dir =
-      (fs::temp_directory_path() / "entropydb_open_v1_test").string();
-  fs::remove_all(v1dir);
-  fs::create_directories(v1dir);
-  {
-    std::ofstream out(fs::path(v1dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V1\n";
-    out << "summaries " << (*store)->size() << "\n";
-    for (size_t k = 0; k < (*store)->size(); ++k) {
-      const std::string file = "summary_" + std::to_string(k) + ".edb";
-      out << "entry " << file << " pairs " << (*store)->entry(k).pairs.size();
-      for (const ScoredPair& p : (*store)->entry(k).pairs) {
-        out << ' ' << p.a << ' ' << p.b << ' ' << p.cramers_v;
-      }
-      out << '\n';
-      ASSERT_TRUE(
-          (*store)->summary(k).Save((fs::path(v1dir) / file).string()).ok());
-    }
-  }
-  EXPECT_FALSE(ShardedStore::IsShardedDir(v1dir));
-  auto v1engine = EntropyEngine::Open(v1dir);
-  ASSERT_TRUE(v1engine.ok()) << v1engine.status().ToString();
-  EXPECT_FALSE((*v1engine)->is_sharded());
-  EXPECT_TRUE((*v1engine)->is_store());
-  EXPECT_EQ((*v1engine)->num_samples(), 0u);
-
-  fs::remove_all(v3dir);
-  fs::remove_all(v2dir);
-  fs::remove_all(v1dir);
+  fs::remove_all(sharded_dir);
+  fs::remove_all(mono_dir);
 }
 
 TEST(ShardedStoreTest, LoadRejectsNonShardedAndCorruptManifests) {
@@ -355,20 +325,27 @@ TEST(ShardedStoreTest, LoadRejectsNonShardedAndCorruptManifests) {
       (fs::temp_directory_path() / "entropydb_sharded_reject_test").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V2\nsummaries 1\n";
-  }
+  const std::string manifest = (fs::path(dir) / "MANIFEST").string();
+  auto write = [&](const std::string& payload) {
+    return WriteChecksummedFile(Env::Default(), manifest, payload);
+  };
+  // A mono manifest is a SourceStore's, not a sharded store's.
+  ASSERT_TRUE(write("ENTROPYDB_STORE_V4 mono\nsummaries 1\n").ok());
   EXPECT_FALSE(ShardedStore::IsShardedDir(dir));
-  EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
-  {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V3\nscheme warp\nshards 1\nshard shard_0\n";
-  }
+  EXPECT_TRUE(ShardedStore::Load(dir).status().IsInvalidArgument());
+  ASSERT_TRUE(write("ENTROPYDB_STORE_V4 sharded\nscheme warp\nwal_sealed 0\n"
+                    "shards 1\nshard shard_0\n")
+                  .ok());
   EXPECT_FALSE(ShardedStore::Load(dir).ok());
+  ASSERT_TRUE(write("ENTROPYDB_STORE_V4 sharded\nscheme hash\nwal_sealed 0\n"
+                    "shards 0\n")
+                  .ok());
+  EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
+  // An unchecksummed manifest (no footer) is corruption, whatever it says.
   {
-    std::ofstream out(fs::path(dir) / "MANIFEST");
-    out << "ENTROPYDB_STORE_V3\nscheme hash\nshards 0\n";
+    std::ofstream out(manifest);
+    out << "ENTROPYDB_STORE_V4 sharded\nscheme hash\nwal_sealed 0\n"
+           "shards 1\nshard shard_0\n";
   }
   EXPECT_TRUE(ShardedStore::Load(dir).status().IsCorruption());
   fs::remove_all(dir);

@@ -1,4 +1,5 @@
-// SummaryStore: parallel top-K pair builds and directory persistence.
+// Summary-only SourceStore: parallel top-K pair builds and directory
+// persistence.
 
 #include <cstdio>
 #include <filesystem>
@@ -52,7 +53,7 @@ std::set<AttrId> PairSpan(const StoreEntry& e) {
 
 TEST(SummaryStoreTest, BuildsOneSummaryPerTopPair) {
   auto table = TwoPairTable(1500, 41);
-  auto store = SummaryStore::Build(*table, SmallStoreOptions(2));
+  auto store = SourceStore::Build(*table, SmallStoreOptions(2));
   ASSERT_TRUE(store.ok());
   ASSERT_EQ((*store)->size(), 2u);
   // The two modeled pairs are exactly the two planted correlations.
@@ -73,7 +74,7 @@ TEST(SummaryStoreTest, BuildsOneSummaryPerTopPair) {
 
 TEST(SummaryStoreTest, CapsKAtAvailablePairs) {
   auto table = TwoPairTable(600, 43);
-  auto store = SummaryStore::Build(*table, SmallStoreOptions(50));
+  auto store = SourceStore::Build(*table, SmallStoreOptions(50));
   ASSERT_TRUE(store.ok());
   // Attribute cover over 5 attributes yields at most 2 disjoint-ish pairs
   // plus coverage-classed extras; K is whatever the selector produced, and
@@ -86,14 +87,14 @@ TEST(SummaryStoreTest, CapsKAtAvailablePairs) {
 
 TEST(SummaryStoreTest, SaveLoadRoundTripPreservesAnswers) {
   auto table = TwoPairTable(1200, 47);
-  auto built = SummaryStore::Build(*table, SmallStoreOptions(2));
+  auto built = SourceStore::Build(*table, SmallStoreOptions(2));
   ASSERT_TRUE(built.ok());
 
   const std::string dir =
       (fs::temp_directory_path() / "entropydb_store_test").string();
   fs::remove_all(dir);
   ASSERT_TRUE((*built)->Save(dir).ok());
-  auto loaded = SummaryStore::Load(dir);
+  auto loaded = SourceStore::Load(dir);
   ASSERT_TRUE(loaded.ok());
 
   ASSERT_EQ((*loaded)->size(), (*built)->size());
@@ -127,21 +128,21 @@ TEST(SummaryStoreTest, SaveLoadRoundTripPreservesAnswers) {
 }
 
 TEST(SummaryStoreTest, LoadRejectsMissingAndCorruptStores) {
-  EXPECT_FALSE(SummaryStore::Load("/nonexistent/store/dir").ok());
+  EXPECT_FALSE(SourceStore::Load("/nonexistent/store/dir").ok());
 
   const std::string dir =
       (fs::temp_directory_path() / "entropydb_bad_store").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   std::ofstream(dir + "/MANIFEST") << "NOT_A_STORE\n";
-  auto bad = SummaryStore::Load(dir);
+  auto bad = SourceStore::Load(dir);
   EXPECT_FALSE(bad.ok());
   fs::remove_all(dir);
 }
 
 TEST(SummaryStoreTest, FromEntriesValidates) {
-  EXPECT_TRUE(SummaryStore::FromEntries({}).status().IsInvalidArgument());
-  EXPECT_TRUE(SummaryStore::FromEntries({StoreEntry{}})
+  EXPECT_TRUE(SourceStore::FromEntries({}).status().IsInvalidArgument());
+  EXPECT_TRUE(SourceStore::FromEntries({StoreEntry{}})
                   .status()
                   .IsInvalidArgument());
 }

@@ -218,42 +218,6 @@ TEST(SampleIndexTest, IndexlessSamplesSaveAsV2WithoutIndex) {
   fs::remove(path);
 }
 
-TEST(SampleIndexTest, V1FilesRebuildTheIndexOnLoad) {
-  auto table = testutil::RandomTable({5, 6}, 800, 733);
-  auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.1, 29);
-  ASSERT_TRUE(drawn.ok());
-  const std::string path =
-      (fs::temp_directory_path() / "entropydb_sample_v1.eds").string();
-  fs::remove(path);
-  ASSERT_TRUE(SaveSample(*drawn, path).ok());
-  // Rewrite the file as a PR 3-era v1: old header, no index block, no
-  // checksum footer (v1 predates checksummed formats).
-  {
-    std::ifstream in(path);
-    std::stringstream body;
-    body << in.rdbuf();
-    std::string text = body.str();
-    const size_t index_at = text.find("\nindex ");
-    ASSERT_NE(index_at, std::string::npos);
-    text.resize(index_at + 1);  // drop the index block, keep the newline
-    const std::string v3 = "ENTROPYDB_SAMPLE_V3";
-    ASSERT_EQ(text.compare(0, v3.size(), v3), 0);
-    text[v3.size() - 1] = '1';  // V3 -> V1 header
-    std::ofstream out(path);
-    out << text;
-  }
-  auto loaded = LoadSample(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // v1 compat: the index is rebuilt on open, identical to a fresh build.
-  ASSERT_NE(loaded->index, nullptr);
-  auto fresh = SampleIndex::Build(*drawn->rows);
-  for (AttrId a = 0; a < 2; ++a) {
-    EXPECT_EQ(loaded->index->attr(a).offsets, fresh->attr(a).offsets);
-    EXPECT_EQ(loaded->index->attr(a).perm, fresh->attr(a).perm);
-  }
-  fs::remove(path);
-}
-
 TEST(SampleIndexTest, CorruptV2IndexFailsTheLoad) {
   auto table = testutil::RandomTable({4, 5}, 600, 737);
   auto drawn = StratifiedSampler::Create(*table, 0, 1, 0.1, 31);

@@ -78,7 +78,7 @@ TEST(QueryBatcherTest, BatchedAnswersMatchSerialAnswers) {
   for (size_t i = 0; i < queries.size(); ++i) {
     auto batched = futures[i].get();
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    auto serial = engine->Answer(queries[i]);
+    auto serial = testutil::CountOf(*engine, queries[i]);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(batched->expectation, serial->expectation);
     EXPECT_EQ(batched->variance, serial->variance);
@@ -162,7 +162,7 @@ TEST(QueryBatcherTest, WorkerThreadDrainsWithoutManualPumping) {
   q.Where(1, AttrPredicate::Point(1));
   auto r = batcher.Submit(engine, q, milliseconds(30000));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  auto serial = engine->Answer(q);
+  auto serial = testutil::CountOf(*engine, q);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(r->expectation, serial->expectation);
 }

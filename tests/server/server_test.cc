@@ -61,6 +61,15 @@ WireResponse MustCall(WireClient& client, const std::string& payload) {
   return resp.ok() ? *resp : WireResponse{};
 }
 
+/// The row total an unfiltered COUNT(*) response reports (exact: every
+/// shard's full-domain probability is 1).
+double TotalRows(const WireResponse& resp) {
+  double e = 0, v = 0;
+  EXPECT_EQ(std::sscanf(Line0(resp).c_str(), "estimate %lf %lf", &e, &v), 2)
+      << Line0(resp);
+  return e;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -137,7 +146,7 @@ TEST_F(ServerTest, QueryAnswersBitwiseLikeTheEngine) {
   auto parsed = ParseQuery(text, (*engine)->attr_names(),
                            (*engine)->domains());
   ASSERT_TRUE(parsed.ok());
-  auto direct = (*engine)->Answer(parsed->where);
+  auto direct = testutil::CountOf(**engine, parsed->where);
   ASSERT_TRUE(direct.ok());
   // %.17g round-trips doubles exactly: the wire answer IS the engine
   // answer, bit for bit.
@@ -328,6 +337,40 @@ TEST_F(ServerTest, ConcurrentPublishesKeepPinnedReaderBitwiseStable) {
   EXPECT_EQ(gone->code, "NOT_FOUND");
   // …but the already-pinned session keeps its snapshot.
   EXPECT_EQ(Line0(MustCall(pinned, query)), baseline);
+}
+
+TEST_F(ServerTest, ConcurrentExternalPublishReachesUnpinnedSessions) {
+  // Unpinned requests answer against whatever CURRENT names at that
+  // moment (docs/SERVING.md) — with no OPEN or VERSION in between. Two
+  // appends publish through another VersionSet (the CLI's path) on a
+  // second thread while an unpinned session keeps querying, so the
+  // refresh runs on session threads concurrently with the publishes.
+  StartServer();
+  WireClient live = Connect();
+  EXPECT_EQ(TotalRows(MustCall(live, "QUERY COUNT(*)")), 800.0);
+
+  std::thread publisher([this] {
+    EXPECT_EQ(PublishAppend(150, 501), 2u);
+    EXPECT_EQ(PublishAppend(150, 503), 3u);
+  });
+  // Every answer is some published version's total, and a session never
+  // travels back to an older one.
+  double seen = 800.0;
+  for (int i = 0; i < 40; ++i) {
+    const double total = TotalRows(MustCall(live, "QUERY COUNT(*)"));
+    EXPECT_TRUE(total == 800.0 || total == 950.0 || total == 1100.0)
+        << total;
+    EXPECT_GE(total, seen) << "iter " << i;
+    seen = total;
+  }
+  publisher.join();
+
+  // After both publishes the same session, a new one, and a BATCH all
+  // answer from v3 — no OPEN, no VERSION, no restart.
+  EXPECT_EQ(TotalRows(MustCall(live, "QUERY COUNT(*)")), 1100.0);
+  WireClient fresh = Connect();
+  EXPECT_EQ(TotalRows(MustCall(fresh, "QUERY COUNT(*)")), 1100.0);
+  EXPECT_EQ(TotalRows(MustCall(fresh, "BATCH 1\nCOUNT(*)")), 1100.0);
 }
 
 TEST_F(ServerTest, QuantileAndTopKAnswerOverTheWireAndCacheBitwise) {

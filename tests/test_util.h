@@ -7,12 +7,24 @@
 
 #include "common/rng.h"
 #include "maxent/variable_registry.h"
+#include "query/aggregate.h"
 #include "query/exact_evaluator.h"
 #include "stats/statistic.h"
 #include "storage/table_builder.h"
 
 namespace entropydb {
 namespace testutil {
+
+/// COUNT(*) through a source's unified aggregate surface (EntropyEngine,
+/// ShardedStore, QueryRouter, ...), reduced to its estimate. Extra
+/// arguments (route decision outputs) pass through to Answer.
+template <typename Source, typename... Route>
+Result<QueryEstimate> CountOf(const Source& source, const CountingQuery& q,
+                              Route... route) {
+  ASSIGN_OR_RETURN(QueryResult r,
+                   source.Answer(AggregateQuery::Count(q), route...));
+  return r.estimate;
+}
 
 /// Builds an encoded table with integer-bucket domains of the given sizes
 /// and the given rows of codes. Attribute names are A0, A1, ...

@@ -7,13 +7,13 @@
 //   entropydb_query --store flights.store
 //       --query "COUNT(*) WHERE origin = S3 AND dest = S7"
 //
-// --store loads a SourceStore directory (summaries + sample companions)
-// and routes every query through the engine's hybrid QueryRouter, printing
-// which source — summary or sample — answered and why (coverage, the
-// summary-vs-sample variance comparison, fallback). A sharded (MANIFEST
-// v3) directory loads the same way — EntropyEngine::Open dispatches — and
-// each query prints ONE route line PER SHARD: the fan-out picks the best
-// source independently inside every shard before the estimates merge.
+// Every path opens as the engine's one store shape (S shards x K sources;
+// a .edb file is the 1 x 1 case, a mono store directory S = 1) and every
+// query routes through each shard's hybrid QueryRouter, printing which
+// source — summary or sample — answered and why (coverage, the
+// summary-vs-sample variance comparison, fallback). A sharded directory
+// prints ONE route line PER SHARD: the fan-out picks the best source
+// independently inside every shard before the estimates merge.
 // Without --query, reads one query per line from stdin (a tiny REPL).
 //
 // The dialect covers COUNT/SUM/AVG plus QUANTILE(attr, q) and
@@ -36,9 +36,9 @@ using namespace entropydb;
 
 namespace {
 
-/// One route line for a decision made against `store` (a monolithic store,
-/// or one shard of a sharded store). `label` prefixes the line — "routed"
-/// for the monolithic path, "shard K" for per-shard printing.
+/// One route line for a decision made against one shard's `store`.
+/// `label` prefixes the line — "routed" when there is one shard, "shard K"
+/// for per-shard printing.
 void PrintStoreRoute(const std::vector<std::string>& names,
                      const SourceStore& store, const RouteDecision& dec,
                      const std::string& label) {
@@ -88,18 +88,13 @@ void PrintStoreRoute(const std::vector<std::string>& names,
   }
 }
 
-void PrintRoute(const EntropyEngine& engine, const RouteDecision& dec) {
-  if (!engine.is_store() || engine.is_sharded()) return;
-  PrintStoreRoute(engine.attr_names(), *engine.store(), dec, "routed");
-}
-
-/// Sharded stores print one route line per shard: the whole point of
-/// per-shard routing is that the best source can differ shard to shard.
+/// One route line per shard: the whole point of per-shard routing is that
+/// the best source can differ shard to shard.
 void PrintShardRoutes(const EntropyEngine& engine,
                       const std::vector<RouteDecision>& decs) {
   for (size_t s = 0; s < decs.size(); ++s) {
     PrintStoreRoute(engine.attr_names(), engine.sharded()->shard(s), decs[s],
-                    "shard " + std::to_string(s));
+                    decs.size() == 1 ? "routed" : "shard " + std::to_string(s));
   }
   // The per-query pruning summary: how much of the fan-out the zone maps
   // saved, and which attribute did the proving.
@@ -112,6 +107,33 @@ void PrintShardRoutes(const EntropyEngine& engine,
     std::fprintf(stderr, "  pruned %zu/%zu shards via zone map on %s\n",
                  pruned, decs.size(),
                  engine.attr_names()[pruned_attr].c_str());
+  }
+}
+
+/// One shard's sources: its summaries with their modeled pairs (the
+/// fallback marked), then its sample companions.
+void PrintSources(const std::vector<std::string>& names,
+                  const SourceStore& store, const char* indent) {
+  for (size_t k = 0; k < store.size(); ++k) {
+    std::fprintf(stderr, "%ssummary %zu:", indent, k);
+    for (const ScoredPair& p : store.entry(k).pairs) {
+      std::fprintf(stderr, " (%s, %s) V=%.3f", names[p.a].c_str(),
+                   names[p.b].c_str(), p.cramers_v);
+    }
+    std::fprintf(stderr, "%s\n", k == store.widest() ? "  [fallback]" : "");
+  }
+  for (size_t s = 0; s < store.num_samples(); ++s) {
+    const SampleEntry& e = store.sample_entry(s);
+    std::fprintf(stderr, "%ssample %zu: %s,", indent, s,
+                 e.sample->name.c_str());
+    // Stratification pairs from the manifest metadata (uniform samples
+    // carry none).
+    for (const ScoredPair& p : e.pairs) {
+      std::fprintf(stderr, " stratified on (%s, %s) V=%.3f,",
+                   names[p.a].c_str(), names[p.b].c_str(), p.cramers_v);
+    }
+    std::fprintf(stderr, " %zu rows (fraction %.3g)\n", e.sample->size(),
+                 e.sample->fraction);
   }
 }
 
@@ -148,14 +170,14 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
   }
   Timer timer;
   RouteDecision dec;
-  // COUNT/SUM/AVG on sharded engines answer through the sharded store
-  // directly so the per-shard routing decisions are available for
-  // printing; QUANTILE/TOPK derive at the engine facade either way.
+  // COUNT/SUM/AVG answer through the store directly so the per-shard
+  // routing decisions are available for printing; QUANTILE/TOPK derive at
+  // the engine facade, whose decision is the shard's own when one shard
+  // was scanned.
   std::vector<RouteDecision> shard_decs;
-  const bool per_shard =
-      engine.is_sharded() &&
-      (query.kind == AggregateKind::kCount ||
-       query.kind == AggregateKind::kSum || query.kind == AggregateKind::kAvg);
+  const bool per_shard = query.kind == AggregateKind::kCount ||
+                         query.kind == AggregateKind::kSum ||
+                         query.kind == AggregateKind::kAvg;
   auto res = per_shard ? engine.sharded()->Answer(query, &shard_decs)
                        : engine.Answer(query, &dec);
   if (!res.ok()) {
@@ -196,8 +218,9 @@ int RunOne(const EntropyEngine& engine, const std::string& text) {
   }
   if (per_shard) {
     PrintShardRoutes(engine, shard_decs);
-  } else {
-    PrintRoute(engine, dec);
+  } else if (engine.num_shards() == 1) {
+    PrintStoreRoute(engine.attr_names(), engine.sharded()->shard(0), dec,
+                    "routed");
   }
   return 0;
 }
@@ -278,67 +301,33 @@ int main(int argc, char** argv) {
                  "entropydb_build\n");
     return 1;
   }
-  if ((*engine)->is_sharded()) {
-    const ShardedStore& sharded = *(*engine)->sharded();
-    std::string scheme_desc = PartitionSchemeName(sharded.scheme());
-    if (sharded.scheme() == PartitionScheme::kAttribute) {
-      scheme_desc +=
-          ":" + (*engine)->attr_names()[sharded.partition_attr()];
-    }
-    size_t with_zone_maps = 0;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      with_zone_maps += sharded.zone_map(s) != nullptr ? 1 : 0;
-    }
-    std::fprintf(stderr,
-                 "loaded sharded store: %zu shards (%s partitioning, "
-                 "%zu with zone maps, compaction generation %llu), "
-                 "%zu summaries + %zu samples total, n = %.0f\n",
-                 sharded.num_shards(), scheme_desc.c_str(), with_zone_maps,
-                 static_cast<unsigned long long>(sharded.compaction_gen()),
-                 (*engine)->num_summaries(), (*engine)->num_samples(),
-                 (*engine)->n());
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      const SourceStore& shard = sharded.shard(s);
+  const EntropyEngine& eng = **engine;
+  const ShardedStore& store = *eng.sharded();
+  std::string scheme_desc = PartitionSchemeName(store.scheme());
+  if (store.scheme() == PartitionScheme::kAttribute) {
+    scheme_desc += ":" + eng.attr_names()[store.partition_attr()];
+  }
+  size_t with_zone_maps = 0;
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    with_zone_maps += store.zone_map(s) != nullptr ? 1 : 0;
+  }
+  std::fprintf(stderr,
+               "loaded store: %zu shard%s (%s partitioning, %zu with zone "
+               "maps, compaction generation %llu), %zu summaries + %zu "
+               "samples total, n = %.0f\n",
+               store.num_shards(), store.num_shards() == 1 ? "" : "s",
+               scheme_desc.c_str(), with_zone_maps,
+               static_cast<unsigned long long>(store.compaction_gen()),
+               eng.num_summaries(), eng.num_samples(), eng.n());
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    const SourceStore& shard = store.shard(s);
+    if (store.num_shards() > 1) {
       std::fprintf(stderr, "  shard %zu: %zu summaries + %zu samples, "
                    "n = %.0f\n",
                    s, shard.size(), shard.num_samples(), shard.n());
     }
-  } else if ((*engine)->is_store()) {
-    std::fprintf(stderr, "loaded store: %zu summaries + %zu samples, "
-                 "n = %.0f\n",
-                 (*engine)->num_summaries(), (*engine)->num_samples(),
-                 (*engine)->n());
-    for (size_t k = 0; k < (*engine)->num_summaries(); ++k) {
-      const StoreEntry& e = (*engine)->store()->entry(k);
-      std::fprintf(stderr, "  summary %zu:", k);
-      for (const ScoredPair& p : e.pairs) {
-        std::fprintf(stderr, " (%s, %s) V=%.3f",
-                     (*engine)->attr_names()[p.a].c_str(),
-                     (*engine)->attr_names()[p.b].c_str(), p.cramers_v);
-      }
-      std::fprintf(stderr, "%s\n",
-                   k == (*engine)->store()->widest() ? "  [fallback]" : "");
-    }
-    for (size_t s = 0; s < (*engine)->num_samples(); ++s) {
-      const SampleEntry& e = (*engine)->store()->sample_entry(s);
-      std::fprintf(stderr, "  sample %zu: %s,", s, e.sample->name.c_str());
-      // Stratification pairs from the manifest metadata (uniform samples
-      // carry none).
-      for (const ScoredPair& p : e.pairs) {
-        std::fprintf(stderr, " stratified on (%s, %s) V=%.3f,",
-                     (*engine)->attr_names()[p.a].c_str(),
-                     (*engine)->attr_names()[p.b].c_str(), p.cramers_v);
-      }
-      std::fprintf(stderr, " %zu rows (fraction %.3g)\n", e.sample->size(),
-                   e.sample->fraction);
-    }
-  } else {
-    std::fprintf(stderr, "loaded summary: n = %.0f, attributes:",
-                 (*engine)->n());
-    for (const auto& name : (*engine)->attr_names()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
+    PrintSources(eng.attr_names(), shard,
+                 store.num_shards() > 1 ? "    " : "  ");
   }
 
   if (args.count("query")) {
